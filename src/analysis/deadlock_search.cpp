@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string_view>
 #include <thread>
+#include <utility>
 
 #include "analysis/search_status.hpp"
 #include "analysis/state_table.hpp"
@@ -95,8 +96,8 @@ struct GenReduction {
   std::vector<std::uint32_t> greedy_opt;  ///< per request; set when phased
   std::uint32_t comp_count = 1;           ///< > 1 enables phased mode
 
-  /// Back to the default-constructed state, keeping vector capacity —
-  /// pooled instances are reset before reuse on the next state.
+  /// Back to the default-constructed state, keeping vector capacity — a
+  /// reused DFS frame resets its generator's instance for each new state.
   void reset() {
     twin_next.clear();
     comp_of.clear();
@@ -107,15 +108,27 @@ struct GenReduction {
 
 class AssignmentGenerator {
  public:
-  AssignmentGenerator(std::vector<sim::MessageRequests> requests,
-                      AdversaryModel model, std::size_t max_branches,
-                      GenReduction reduction = {})
-      : requests_(std::move(requests)),
-        odometer_(requests_.size(), 0),
-        red_(std::move(reduction)),
-        phased_(red_.comp_count > 1),
-        model_(model),
-        max_branches_(max_branches) {
+  /// Buffers the caller fills before start(): the state's request list
+  /// (entries past the count passed to start() are spare capacity from
+  /// earlier states) and the reduction structure. Both belong to the
+  /// generator, so a DFS frame that is reused for state after state keeps
+  /// their heap capacity and stops allocating once warm.
+  std::vector<sim::MessageRequests>& request_buffer() { return requests_; }
+  GenReduction& reduction() { return red_; }
+
+  /// Starts enumerating over the first `count` entries of request_buffer()
+  /// with the reduction() filled in for this state.
+  void start(std::size_t count, AdversaryModel model,
+             std::size_t max_branches) {
+    count_ = count;
+    odometer_.assign(count, 0);
+    phased_ = red_.comp_count > 1;
+    phase_ = 0;
+    model_ = model;
+    max_branches_ = max_branches;
+    yielded_ = 0;
+    done_ = false;
+    truncated_ = false;
     if (phased_) load_phase();
   }
 
@@ -123,7 +136,7 @@ class AssignmentGenerator {
   /// combos are exhausted or the branch cap was hit (see truncated()).
   /// `taken` is caller-owned scratch, reusable across generators.
   bool next(Assignment& out, TakenSet& taken) {
-    const std::size_t m = requests_.size();
+    const std::size_t m = count_;
     while (!done_) {
       if (yielded_ >= max_branches_) {
         truncated_ = true;  // unexplored combos remain beyond the cap
@@ -172,15 +185,6 @@ class AssignmentGenerator {
   /// Legal assignments produced so far.
   [[nodiscard]] std::size_t yielded() const { return yielded_; }
 
-  /// Donates the generator's heap structures (request list, reduction
-  /// vectors) back to the caller's pools for reuse by the next state's
-  /// generator. The generator must not be used afterwards.
-  void recycle_into(std::vector<std::vector<sim::MessageRequests>>& groups,
-                    std::vector<GenReduction>& reductions) {
-    if (groups.size() < 64) groups.push_back(std::move(requests_));
-    if (reductions.size() < 64) reductions.push_back(std::move(red_));
-  }
-
  private:
   [[nodiscard]] bool is_skip(std::size_t i) const {
     return odometer_[i] == requests_[i].channels.size();
@@ -204,19 +208,19 @@ class AssignmentGenerator {
   }
 
   [[nodiscard]] bool varying_class_is_greedy() const {
-    for (std::size_t i = 0; i < requests_.size(); ++i)
+    for (std::size_t i = 0; i < count_; ++i)
       if (red_.comp_of[i] == phase_ && odometer_[i] != red_.greedy_opt[i])
         return false;
     return true;
   }
 
   void load_phase() {
-    for (std::size_t i = 0; i < requests_.size(); ++i)
+    for (std::size_t i = 0; i < count_; ++i)
       odometer_[i] = pinned(i) ? red_.greedy_opt[i] : 0;
   }
 
   void advance() {
-    const std::size_t m = requests_.size();
+    const std::size_t m = count_;
     for (std::size_t i = 0; i < m; ++i) {
       if (pinned(i)) continue;
       if (++odometer_[i] <= limit(i)) return;
@@ -231,14 +235,15 @@ class AssignmentGenerator {
   }
 
   std::vector<sim::MessageRequests> requests_;
+  std::size_t count_ = 0;  ///< live prefix of requests_
   std::vector<std::size_t> odometer_;
   GenReduction red_;
-  bool phased_;
+  bool phased_ = false;
   std::uint32_t phase_ = 0;
-  AdversaryModel model_;
-  std::size_t max_branches_;
+  AdversaryModel model_ = AdversaryModel::kSynchronous;
+  std::size_t max_branches_ = 0;
   std::size_t yielded_ = 0;
-  bool done_ = false;
+  bool done_ = true;
   bool truncated_ = false;
 };
 
@@ -325,12 +330,18 @@ struct ReductionContext {
 /// initial state, which revalidates every grant.
 class SearchEngine {
  public:
+  /// `cancel`, when non-null, is polled like a found deadlock: once it
+  /// reads true the search stops and reports itself non-exhausted.
+  /// minimal_deadlock_delay uses it to stop budgets made moot by a smaller
+  /// deadlocking one.
   SearchEngine(const topo::Network& net, AdversaryModel model,
-               const SearchLimits& limits, const ReductionContext& reduction)
+               const SearchLimits& limits, const ReductionContext& reduction,
+               const std::atomic<bool>* cancel = nullptr)
       : net_(net),
         model_(model),
         limits_(limits),
         red_(reduction),
+        cancel_(cancel),
         delay_mode_(model == AdversaryModel::kBoundedDelay),
         threads_(resolve_threads(limits.threads)),
         status_(limits.status),
@@ -412,7 +423,7 @@ class SearchEngine {
       SearchLimits serial_limits = limits_;
       serial_limits.threads = 1;
       serial_limits.status = nullptr;
-      SearchEngine serial(net_, model_, serial_limits, red_);
+      SearchEngine serial(net_, model_, serial_limits, red_, cancel_);
       DeadlockSearchResult canon =
           serial.run(sim::WormholeSimulator(pristine), message_count);
       if (canon.deadlock_found) {
@@ -432,7 +443,7 @@ class SearchEngine {
       result.worker_profiles.push_back(w.profile);
     result.states_explored = states_.load(std::memory_order_relaxed);
     result.exhausted =
-        !over_budget_.load(std::memory_order_relaxed) &&
+        !over_budget_.load(std::memory_order_relaxed) && !cancelled() &&
         std::all_of(workers_.begin(), workers_.end(),
                     [](const Worker& w) { return w.exhausted; });
 
@@ -464,6 +475,34 @@ class SearchEngine {
   /// but is counted separately in the profile.
   enum class Register { kFresh, kSeen, kReexplore, kOverBudget };
 
+  /// No simulator slot (a frame whose last branch adopted its slot).
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// One DFS node. The generator runs one assignment ahead (`pending`), so
+  /// the loop knows whether the branch it is about to take is the last one:
+  /// the last branch adopts the frame's simulator slot instead of forking
+  /// it — with mean branch factors near 1.5 that removes most state forks.
+  /// A frame whose slot was adopted stays on the stack as an entry-edge
+  /// tombstone until its subtree finishes (the deadlock path reconstruction
+  /// walks those edges). Frames are reused: a popped frame stays
+  /// constructed in Worker::frames, and the next state opened at its depth
+  /// refills its generator, spent vector and assignments in place.
+  struct Frame {
+    std::uint32_t slot = kNoSlot;  ///< index into Worker::sims
+    AssignmentGenerator gen;
+    std::vector<std::uint32_t> spent;  ///< bounded-delay model only
+    Assignment entry;    ///< choice that led INTO this frame's state
+    Assignment pending;  ///< next branch to take; valid when has_pending
+    bool has_pending = false;
+    /// Dewey bookkeeping: the ordinal of the entry edge, and the next
+    /// ordinal to hand out for a branch materialized from this frame's
+    /// generator (budget-pruned branches consume one too — the numbering
+    /// follows the deterministic generator sequence, not survivorship).
+    std::uint32_t entry_ordinal = 0;
+    std::uint32_t next_ordinal = 0;
+  };
+
   /// One DFS execution context; the serial search uses exactly one.
   struct Worker {
     Worker(std::size_t channel_count, std::size_t idx)
@@ -474,16 +513,23 @@ class SearchEngine {
     TakenSet taken;
     std::size_t index;  ///< status-board shard this worker publishes to
     std::string key_scratch;
+    /// The branch being expanded. Swapped (never moved) with the parent
+    /// frame's `pending` and the child frame's `entry`, so all three keep
+    /// their grant-vector capacity.
     Assignment branch_scratch;
-    /// Retired simulators waiting for reuse by fork_sim: copy-assignment
-    /// into a warm simulator keeps its heap buffers, so the DFS hot loop
-    /// stops allocating per fork once the pool fills.
-    std::vector<sim::WormholeSimulator> sim_pool;
-    /// Retired generator internals (request lists, reduction vectors) from
-    /// retire_frame, reused by open_frame so per-state expansion stops
-    /// allocating once the DFS warms up. Same idea as sim_pool.
-    std::vector<std::vector<sim::MessageRequests>> groups_pool;
-    std::vector<GenReduction> red_pool;
+    /// The child state's spent-delay vector (bounded-delay model only),
+    /// swapped into the child frame when it is opened.
+    std::vector<std::uint32_t> spent_scratch;
+    /// Simulator slots. Frames hold slot indices; a fork copy-assigns the
+    /// parent into a free slot (a warm slot keeps its heap buffers, so the
+    /// DFS stops allocating per fork once the slots exist), and a child
+    /// found seen or terminal hands its slot straight back. Every slot is
+    /// free again when an item starts.
+    std::vector<sim::WormholeSimulator> sims;
+    std::vector<std::uint32_t> free_sims;
+    /// The DFS stack of the running item: frames[0, depth) are live, the
+    /// rest are popped frames kept for their buffers.
+    std::vector<Frame> frames;
     /// Reduction scratch (analysis/reduction.hpp), reused across states.
     ComponentScratch comp_scratch;
     std::vector<std::span<const ChannelId>> actives;
@@ -501,32 +547,6 @@ class SearchEngine {
     /// busy_ns mid-item (the profile field is only folded at item end).
     std::chrono::steady_clock::time_point busy_phase_start{};
     bool in_busy_phase = false;
-  };
-
-  /// One DFS node. The generator runs one assignment ahead (`pending`), so
-  /// the loop knows whether the branch it is about to take is the last one:
-  /// the last branch steals the frame's simulator by move instead of
-  /// copying it — with mean branch factors near 1.5 that removes most state
-  /// forks, the search's single largest cost. A frame whose simulator was
-  /// stolen stays on the stack as an entry-edge tombstone until its subtree
-  /// finishes (the deadlock path reconstruction walks those edges).
-  struct Frame {
-    Frame(sim::WormholeSimulator&& s, AssignmentGenerator&& g,
-          std::vector<std::uint32_t>&& sp)
-        : sim(std::move(s)), gen(std::move(g)), spent(std::move(sp)) {}
-
-    sim::WormholeSimulator sim;
-    AssignmentGenerator gen;
-    std::vector<std::uint32_t> spent;
-    Assignment entry;    ///< choice that led INTO this frame's state
-    Assignment pending;  ///< next branch to take; valid when has_pending
-    bool has_pending = false;
-    /// Dewey bookkeeping: the ordinal of the entry edge, and the next
-    /// ordinal to hand out for a branch materialized from this frame's
-    /// generator (budget-pruned branches consume one too — the numbering
-    /// follows the deterministic generator sequence, not survivorship).
-    std::uint32_t entry_ordinal = 0;
-    std::uint32_t next_ordinal = 0;
   };
 
   /// A subtree root: a registered, not-yet-expanded state plus the
@@ -547,9 +567,13 @@ class SearchEngine {
     std::deque<WorkItem> items;
   };
 
+  [[nodiscard]] bool cancelled() const {
+    return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
+  }
+
   [[nodiscard]] bool stop_requested() const {
     return deadlock_found_.load(std::memory_order_relaxed) ||
-           over_budget_.load(std::memory_order_relaxed);
+           over_budget_.load(std::memory_order_relaxed) || cancelled();
   }
 
   [[nodiscard]] bool budget_ok(
@@ -633,20 +657,20 @@ class SearchEngine {
                                               : Register::kReexplore;
   }
 
-  /// Forks a child off `parent`. Reuses a pooled retired simulator when one
-  /// is available: copy-assignment overwrites its contents but keeps the
-  /// vector/string capacity it already grew.
-  [[nodiscard]] sim::WormholeSimulator fork_sim(
-      const sim::WormholeSimulator& parent, Worker& w) {
-    if (w.sim_pool.empty()) return sim::WormholeSimulator(parent);
-    sim::WormholeSimulator child = std::move(w.sim_pool.back());
-    w.sim_pool.pop_back();
-    child = parent;
-    return child;
-  }
-
-  static void donate_sim(sim::WormholeSimulator&& sim, Worker& w) {
-    if (w.sim_pool.size() < 64) w.sim_pool.push_back(std::move(sim));
+  /// Copies (lvalue) or moves (rvalue) `sim` into a free slot, appending
+  /// one when none is free, and returns the slot's index. Forks pass
+  /// another slot's simulator; only indices, not references, may be held
+  /// across this call, since appending can reallocate w.sims.
+  template <typename Sim>
+  static std::uint32_t occupy_slot(Worker& w, Sim&& sim) {
+    if (w.free_sims.empty()) {
+      w.sims.push_back(std::forward<Sim>(sim));
+      return static_cast<std::uint32_t>(w.sims.size() - 1);
+    }
+    const std::uint32_t slot = w.free_sims.back();
+    w.free_sims.pop_back();
+    w.sims[slot] = std::forward<Sim>(sim);
+    return slot;
   }
 
   /// Builds the generator's reduction structure for one state (reduction.hpp
@@ -655,7 +679,7 @@ class SearchEngine {
   /// list under active-suffix connectivity, with the greedy option of every
   /// request precomputed for class pinning.
   void prepare_reduction(const sim::WormholeSimulator& sim,
-                         const std::vector<sim::MessageRequests>& groups,
+                         std::span<const sim::MessageRequests> groups,
                          std::span<const std::uint32_t> spent,
                          GenReduction& red, Worker& w) {
     twin_next_siblings(groups, red_.specs, spent, red.twin_next);
@@ -707,51 +731,52 @@ class SearchEngine {
 
   enum class Open { kPushed, kTerminal };
 
-  /// Opens a freshly registered state for expansion, emplacing the new
-  /// frame directly on `stack` (an earlier optional<Frame>-returning
-  /// version moved the simulator two extra times per fresh state, which
-  /// showed up in profiles). kTerminal with w.found_deadlock set means the
-  /// state is frozen with unfinished messages — a deadlock (the caller owns
-  /// the path that reached it); without it, an all-consumed safe terminal
-  /// whose simulator the caller still owns and may recycle.
-  Open open_frame(std::vector<Frame>& stack, sim::WormholeSimulator&& sim,
-                  std::vector<std::uint32_t>&& spent, Worker& w) {
-    if (sim.all_consumed()) return Open::kTerminal;  // safe terminal
-    std::vector<sim::MessageRequests> groups = take_pooled(w.groups_pool);
-    sim.peek_requests_into(groups);
-    if (groups.empty()) {
+  /// Opens the freshly registered state in slot `slot` as the frame at
+  /// `depth` of w.frames (constructing that frame only the first time the
+  /// stack reaches this depth). In the bounded-delay model the state's
+  /// spent vector is w.spent_scratch, which the frame takes by swap.
+  /// kTerminal with w.found_deadlock set means the state is frozen with
+  /// unfinished messages — a deadlock (the caller owns the path that
+  /// reached it); without it, an all-consumed safe terminal. Either way the
+  /// caller still owns the slot.
+  Open open_frame(Worker& w, std::size_t depth, std::uint32_t slot) {
+    if (w.sims[slot].all_consumed()) return Open::kTerminal;  // safe terminal
+    if (depth == w.frames.size()) w.frames.emplace_back();
+    Frame& frame = w.frames[depth];
+    AssignmentGenerator& gen = frame.gen;
+    std::vector<sim::MessageRequests>& requests = gen.request_buffer();
+    const std::size_t count = w.sims[slot].peek_requests_in_place(requests);
+    if (count == 0) {
       // Only the idle transition exists; if it makes no progress the state
       // is frozen forever with unfinished messages: a deadlock. Otherwise
       // the generator over zero requests yields exactly the idle branch.
-      sim::WormholeSimulator probe(sim);
-      if (!probe.step_with_grants({})) {
+      // The probe steps a scratch copy in a spare slot.
+      const std::uint32_t probe = occupy_slot(w, w.sims[slot]);
+      const bool progress = w.sims[probe].step_with_grants({});
+      w.free_sims.push_back(probe);
+      if (!progress) {
         w.found_deadlock = true;
         return Open::kTerminal;
       }
     }
-    GenReduction red = take_pooled(w.red_pool);
+    GenReduction& red = gen.reduction();
     red.reset();
-    if (red_.mode != ReductionMode::kOff && !groups.empty())
-      prepare_reduction(sim, groups, spent, red, w);
-    Frame& frame = stack.emplace_back(
-        std::move(sim),
-        AssignmentGenerator(std::move(groups), model_,
-                            limits_.max_branches_per_state, std::move(red)),
-        std::move(spent));
-    frame.has_pending = frame.gen.next(frame.pending, w.taken);
+    if (red_.mode != ReductionMode::kOff && count > 0)
+      prepare_reduction(w.sims[slot],
+                        std::span<const sim::MessageRequests>(requests.data(),
+                                                              count),
+                        w.spent_scratch, red, w);
+    gen.start(count, model_, limits_.max_branches_per_state);
+    frame.slot = slot;
+    if (delay_mode_) std::swap(frame.spent, w.spent_scratch);
+    frame.next_ordinal = 0;
+    frame.has_pending = gen.next(frame.pending, w.taken);
     return Open::kPushed;
   }
 
-  template <typename T>
-  static T take_pooled(std::vector<T>& pool) {
-    if (pool.empty()) return T{};
-    T value = std::move(pool.back());
-    pool.pop_back();
-    return value;
-  }
-
   /// Retires a frame: truncation bookkeeping, the branch-factor sample, and
-  /// donating the generator's heap structures back to the worker pools.
+  /// returning the frame's slot when no branch adopted it (budget-pruned or
+  /// truncated last branches).
   void retire_frame(Frame& frame, Worker& w) {
     if (frame.gen.truncated()) {
       ++w.profile.branch_truncations;
@@ -759,7 +784,8 @@ class SearchEngine {
     }
     w.profile.branch_factor.observe(
         static_cast<double>(frame.gen.yielded()));
-    frame.gen.recycle_into(w.groups_pool, w.red_pool);
+    if (frame.slot != kNoSlot) w.free_sims.push_back(frame.slot);
+    frame.slot = kNoSlot;
   }
 
   /// Pops the worker's own newest item (back), else sweeps the peers'
@@ -791,30 +817,29 @@ class SearchEngine {
   }
 
   /// Splits pending sibling branches of the shallowest unexhausted frame of
-  /// `stack` into new work items on the worker's own deque, so starving
-  /// peers can steal them. Called from run_item only when starving_ > 0.
-  /// The shallowest frame holds the largest remaining subtrees, and — key
-  /// invariant — a frame with has_pending still owns its simulator (the
-  /// move-out only happens on the *last* branch, which clears has_pending),
-  /// so its children can always be forked. Materialized branches consume
-  /// Dewey ordinals exactly as run_item would have, so the winner rule is
-  /// split-invariant.
-  void maybe_split(Worker& w, std::vector<Frame>& stack,
-                   const WorkItem& item) {
+  /// the live stack w.frames[0, depth) into new work items on the worker's
+  /// own deque, so starving peers can steal them. Called from run_item only
+  /// when starving_ > 0. The shallowest frame holds the largest remaining
+  /// subtrees, and — key invariant — a frame with has_pending still owns
+  /// its slot (adoption only happens on the *last* branch, which clears
+  /// has_pending), so its children can always be forked. Materialized
+  /// branches consume Dewey ordinals exactly as run_item would have, so the
+  /// winner rule is split-invariant.
+  void maybe_split(Worker& w, std::size_t depth, const WorkItem& item) {
     std::size_t f = 0;
-    while (f < stack.size() && !stack[f].has_pending) ++f;
-    if (f == stack.size()) return;
+    while (f < depth && !w.frames[f].has_pending) ++f;
+    if (f == depth) return;
     {
       ItemDeque& mine = *deques_[w.index];
       std::lock_guard<std::mutex> lock(mine.mutex);
       if (mine.items.size() >= kDequeCap) return;
     }
-    Frame& frame = stack[f];
+    Frame& frame = w.frames[f];
     std::vector<Assignment> prefix_path = item.path;
     std::vector<std::uint32_t> prefix_ordinal = item.ordinal;
     for (std::size_t i = 1; i <= f; ++i) {
-      prefix_path.push_back(stack[i].entry);
-      prefix_ordinal.push_back(stack[i].entry_ordinal);
+      prefix_path.push_back(w.frames[i].entry);
+      prefix_ordinal.push_back(w.frames[i].entry_ordinal);
     }
 
     std::vector<WorkItem> batch;
@@ -832,14 +857,16 @@ class SearchEngine {
           continue;
         }
       }
+      // Items carry their own simulator; the last branch takes the slot's
+      // by move and frees the slot.
       sim::WormholeSimulator child =
-          frame.has_pending ? fork_sim(frame.sim, w) : std::move(frame.sim);
+          frame.has_pending ? w.sims[frame.slot]
+                            : std::move(w.sims[frame.slot]);
+      if (!frame.has_pending)
+        w.free_sims.push_back(std::exchange(frame.slot, kNoSlot));
       child.step_with_grants_trusted(choice.grants);
       const Register reg = register_state(child, child_spent, w);
-      if (reg == Register::kSeen) {
-        donate_sim(std::move(child), w);
-        continue;
-      }
+      if (reg == Register::kSeen) continue;
       if (reg == Register::kOverBudget) {
         w.exhausted = false;
         break;
@@ -923,16 +950,21 @@ class SearchEngine {
   }
 
   /// DFS over one subtree. Frames carry generator cursors; each branch is
-  /// materialized once into the worker's scratch Assignment, and copied
-  /// only when its child state turns out to be fresh.
+  /// materialized once into the worker's scratch Assignment, and swapped
+  /// into the child frame only when its child state turns out to be fresh.
   void run_item(Worker& w, WorkItem&& item) {
     const std::size_t base_depth = item.path.size();
-    std::vector<Frame> stack;
+    std::vector<Frame>& stack = w.frames;
+    std::size_t depth = 0;
+    // No frame is live between items, so every slot is free.
+    w.free_sims.clear();
+    for (std::size_t i = w.sims.size(); i > 0; --i)
+      w.free_sims.push_back(static_cast<std::uint32_t>(i - 1));
 
     const auto drain_observe = [&] {
-      for (const Frame& f : stack)
+      for (std::size_t f = 0; f < depth; ++f)
         w.profile.branch_factor.observe(
-            static_cast<double>(f.gen.yielded()));
+            static_cast<double>(stack[f].gen.yielded()));
     };
     const auto report_deadlock = [&](std::vector<Assignment>&& path,
                                      std::vector<std::uint32_t>&& ordinal) {
@@ -942,55 +974,57 @@ class SearchEngine {
       deadlock_found_.store(true, std::memory_order_relaxed);
     };
 
-    if (open_frame(stack, std::move(item.sim), std::move(item.spent), w) ==
+    std::swap(w.spent_scratch, item.spent);
+    if (open_frame(w, depth, occupy_slot(w, std::move(item.sim))) ==
         Open::kTerminal) {
       if (w.found_deadlock)
         report_deadlock(std::move(item.path), std::move(item.ordinal));
       return;
     }
-    w.profile.peak_depth = std::max<std::uint64_t>(
-        w.profile.peak_depth, base_depth + stack.size());
+    ++depth;
+    w.profile.peak_depth = std::max<std::uint64_t>(w.profile.peak_depth,
+                                                   base_depth + depth);
 
-    while (!stack.empty()) {
+    while (depth > 0) {
       if (stop_requested()) {
         drain_observe();
         return;
       }
       if (threads_ > 1 &&
           starving_.load(std::memory_order_relaxed) > 0)
-        maybe_split(w, stack, item);
-      Frame& top = stack.back();
+        maybe_split(w, depth, item);
+      Frame& top = stack[depth - 1];
       if (!top.has_pending) {
         retire_frame(top, w);
-        stack.pop_back();
+        --depth;
         continue;
       }
       Assignment& choice = w.branch_scratch;
-      choice = std::move(top.pending);
+      std::swap(choice, top.pending);
       const std::uint32_t choice_ordinal = top.next_ordinal++;
       top.has_pending = top.gen.next(top.pending, w.taken);
 
-      std::vector<std::uint32_t> child_spent;
       if (delay_mode_) {
-        child_spent = top.spent;
+        w.spent_scratch.assign(top.spent.begin(), top.spent.end());
         for (const MessageId m : choice.stalled_moving)
-          ++child_spent[m.index()];
-        if (!budget_ok(child_spent)) {
+          ++w.spent_scratch[m.index()];
+        if (!budget_ok(w.spent_scratch)) {
           ++w.profile.budget_prunes;
           continue;
         }
       }
 
       // Last branch: the parent has no further use for its simulator, so
-      // the child takes it by move. The emptied frame stays on the stack as
-      // a tombstone carrying its entry edge.
-      sim::WormholeSimulator child =
-          top.has_pending ? fork_sim(top.sim, w) : std::move(top.sim);
-      child.step_with_grants_trusted(choice.grants);
+      // the child adopts its slot. The frame stays on the stack as a
+      // tombstone carrying its entry edge.
+      const std::uint32_t child =
+          top.has_pending ? occupy_slot(w, w.sims[top.slot])
+                          : std::exchange(top.slot, kNoSlot);
+      w.sims[child].step_with_grants_trusted(choice.grants);
 
-      const Register reg = register_state(child, child_spent, w);
+      const Register reg = register_state(w.sims[child], w.spent_scratch, w);
       if (reg == Register::kSeen) {
-        donate_sim(std::move(child), w);
+        w.free_sims.push_back(child);
         continue;
       }
       if (reg == Register::kOverBudget) {
@@ -999,16 +1033,15 @@ class SearchEngine {
         return;
       }
 
-      // NOTE: `top` dangles past this point if the push reallocated.
-      const Open opened =
-          open_frame(stack, std::move(child), std::move(child_spent), w);
+      // NOTE: `top` dangles past this point if the frame stack grew.
+      const Open opened = open_frame(w, depth, child);
       if (w.found_deadlock) {
         // The deadlock execution: the item's prefix, every entry choice on
         // the DFS stack (subtree root excluded), then the final choice —
         // and the matching Dewey ordinal for the winner rule.
         std::vector<Assignment> path = std::move(item.path);
         std::vector<std::uint32_t> ordinal = std::move(item.ordinal);
-        for (std::size_t f = 1; f < stack.size(); ++f) {
+        for (std::size_t f = 1; f < depth; ++f) {
           path.push_back(stack[f].entry);
           ordinal.push_back(stack[f].entry_ordinal);
         }
@@ -1019,16 +1052,13 @@ class SearchEngine {
         return;
       }
       if (opened == Open::kPushed) {
-        // The frame adopts the scratch assignment as its entry edge (the
-        // generator clears moved-from scratch before reusing it); copying
-        // the grant vector per fresh state showed up in the profile.
-        stack.back().entry = std::move(w.branch_scratch);
-        stack.back().entry_ordinal = choice_ordinal;
-        w.profile.peak_depth = std::max<std::uint64_t>(
-            w.profile.peak_depth, base_depth + stack.size());
+        std::swap(stack[depth].entry, choice);
+        stack[depth].entry_ordinal = choice_ordinal;
+        ++depth;
+        w.profile.peak_depth = std::max<std::uint64_t>(w.profile.peak_depth,
+                                                       base_depth + depth);
       } else {
-        // Safe terminal: open_frame left `child` intact; recycle it.
-        donate_sim(std::move(child), w);
+        w.free_sims.push_back(child);  // safe terminal
       }
     }
   }
@@ -1076,6 +1106,7 @@ class SearchEngine {
   const AdversaryModel model_;
   const SearchLimits& limits_;
   const ReductionContext& red_;
+  const std::atomic<bool>* const cancel_;
   const bool delay_mode_;
   const unsigned threads_;
   SearchStatusBoard* const status_;
@@ -1105,8 +1136,9 @@ DeadlockSearchResult search_core(sim::WormholeSimulator root,
                                  const topo::Network& net,
                                  AdversaryModel model,
                                  const SearchLimits& limits,
-                                 const ReductionContext& reduction) {
-  SearchEngine engine(net, model, limits, reduction);
+                                 const ReductionContext& reduction,
+                                 const std::atomic<bool>* cancel = nullptr) {
+  SearchEngine engine(net, model, limits, reduction, cancel);
   return engine.run(std::move(root), message_count);
 }
 
@@ -1274,12 +1306,12 @@ std::optional<DeadlockSearchResult> decomposed_find_deadlock(
   return total;
 }
 
-}  // namespace
-
-DeadlockSearchResult find_deadlock(const routing::RoutingAlgorithm& alg,
-                                   std::span<const sim::MessageSpec> messages,
-                                   AdversaryModel model,
-                                   const SearchLimits& limits) {
+/// find_deadlock for oblivious routing, stoppable through `cancel` (see
+/// SearchEngine).
+DeadlockSearchResult find_deadlock_cancellable(
+    const routing::RoutingAlgorithm& alg,
+    std::span<const sim::MessageSpec> messages, AdversaryModel model,
+    const SearchLimits& limits, const std::atomic<bool>* cancel) {
   check_specs(messages);
   ReductionContext red;
   red.mode = limits.reduction;
@@ -1309,7 +1341,16 @@ DeadlockSearchResult find_deadlock(const routing::RoutingAlgorithm& alg,
   sim::WormholeSimulator root(alg, config);
   for (const sim::MessageSpec& spec : messages) root.add_message(spec);
   return search_core(std::move(root), messages.size(), alg.net(), model,
-                     limits, red);
+                     limits, red, cancel);
+}
+
+}  // namespace
+
+DeadlockSearchResult find_deadlock(const routing::RoutingAlgorithm& alg,
+                                   std::span<const sim::MessageSpec> messages,
+                                   AdversaryModel model,
+                                   const SearchLimits& limits) {
+  return find_deadlock_cancellable(alg, messages, model, limits, nullptr);
 }
 
 DeadlockSearchResult find_deadlock(const routing::AdaptiveRouting& alg,
@@ -1358,14 +1399,22 @@ std::optional<std::uint32_t> minimal_deadlock_delay(
       results[0] = find_deadlock(alg, messages, AdversaryModel::kBoundedDelay,
                                  per_budget);
     } else {
+      // Once budget + j deadlocks, every higher budget of the chunk is moot
+      // (the answer is at most budget + j), so their searches are stopped.
+      // Lower budgets are never stopped: the answer and the exhaustion
+      // flags read below come only from budgets up to the first deadlock.
+      std::vector<std::atomic<bool>> moot(chunk);  // value-initialized: false
       std::vector<std::thread> pool_threads;
       pool_threads.reserve(chunk);
       for (std::uint32_t j = 0; j < chunk; ++j)
         pool_threads.emplace_back([&, j] {
           SearchLimits mine = per_budget;
           mine.delay_budget = budget + j;
-          results[j] = find_deadlock(alg, messages,
-                                     AdversaryModel::kBoundedDelay, mine);
+          results[j] = find_deadlock_cancellable(
+              alg, messages, AdversaryModel::kBoundedDelay, mine, &moot[j]);
+          if (results[j].deadlock_found)
+            for (std::uint32_t k = j + 1; k < chunk; ++k)
+              moot[k].store(true, std::memory_order_relaxed);
         });
       for (std::thread& t : pool_threads) t.join();
     }

@@ -83,17 +83,23 @@ void twin_next_siblings(std::span<const sim::MessageRequests> requests,
 
   // O(n^2) pairing over this state's requests; request lists are small (one
   // per unfinished message at most), so this never shows up in profiles.
-  std::vector<bool> claimed(n, false);
+  // A request is claimed by an earlier chain iff its `next` entry is no
+  // longer kNoTwin: claiming writes kChainEnd, which a later link
+  // overwrites and the final sweep turns back into kNoTwin. (A separate
+  // claimed-flag vector cost the search one allocation per state.)
+  constexpr std::uint32_t kChainEnd = kNoTwin - 1;
   for (std::size_t i = 0; i < n; ++i) {
-    if (claimed[i]) continue;
+    if (next[i] != kNoTwin) continue;  // claimed
     std::size_t last = i;
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (claimed[j] || !twins(last, j)) continue;
+      if (next[j] != kNoTwin || !twins(last, j)) continue;
       next[last] = static_cast<std::uint32_t>(j);
-      claimed[j] = true;
+      next[j] = kChainEnd;
       last = j;
     }
   }
+  for (std::uint32_t& v : next)
+    if (v == kChainEnd) v = kNoTwin;
 }
 
 std::uint32_t request_components(

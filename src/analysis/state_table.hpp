@@ -9,7 +9,7 @@
 //
 //   - key bytes serialized into a caller-owned scratch buffer (no per-state
 //     allocation);
-//   - one FNV-1a 64-bit hash pass;
+//   - one lane-FNV-1a 64-bit hash pass with an fmix64 finalizer;
 //   - striped open-addressing slots {hash, offset, length} whose key bytes
 //     live back-to-back in a per-stripe arena (~20 bytes of index per state
 //     plus the raw key, vs. an unordered_set node + string header + heap
@@ -53,14 +53,30 @@
 
 namespace wormsim::analysis {
 
+/// MurmurHash3's 64-bit finalizer: a bijection that makes every output bit
+/// depend on every input bit.
+[[nodiscard]] constexpr std::uint64_t fmix64(std::uint64_t h) noexcept {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
 /// FNV-1a, 64-bit, applied to 8-byte lanes: the key is consumed one 64-bit
-/// word at a time (final partial word zero-padded, length mixed in last).
-/// Byte-at-a-time FNV costs one dependent multiply per byte, which showed up
-/// as the single largest line in the search profile for ~250-byte state
-/// keys; the lane variant does an eighth of the multiplies with the same
-/// constants and comparable mixing. Not the canonical FNV digest — this is a
-/// process-local memoization hash, and empty input still maps to the FNV
-/// offset basis. The search precomputes it once per state and passes it to
+/// word at a time (final partial word zero-padded, length mixed in last),
+/// then passed through fmix64. Byte-at-a-time FNV costs one dependent
+/// multiply per byte, which showed up as the single largest line in the
+/// search profile for ~250-byte state keys; the lane variant does an eighth
+/// of the multiplies with the same constants. Its weakness is that a
+/// multiply only carries upward, so without the finalizer the low bits the
+/// table indexes with (`hash & mask`) depend only on the low bytes of each
+/// lane — state keys differing in high lane bytes piled into the same probe
+/// runs (136 extra linear probes per insert on the BM_Memo key set; 1.7
+/// with fmix64). Not the canonical FNV digest — this is a process-local
+/// memoization hash; empty input maps to fmix64 of the FNV offset basis.
+/// The search precomputes it once per state and passes it to
 /// lookup_or_insert_hashed.
 [[nodiscard]] inline std::uint64_t hash_bytes(
     std::string_view bytes) noexcept {
@@ -81,7 +97,7 @@ namespace wormsim::analysis {
     h = (h ^ w) * kPrime;
   }
   if (!bytes.empty()) h = (h ^ bytes.size()) * kPrime;
-  return h;
+  return fmix64(h);
 }
 
 /// Appends `v` to `key` little-endian, the fixed-width encoding shared by

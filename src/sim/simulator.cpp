@@ -233,7 +233,7 @@ bool WormholeSimulator::step() {
   return progress;
 }
 
-void WormholeSimulator::peek_requests_into(
+std::size_t WormholeSimulator::peek_requests_in_place(
     std::vector<MessageRequests>& out) const {
   // Replicates the request derivation of the NEXT compute_requests() cycle
   // without mutating the simulator (earlier versions probed by copying the
@@ -241,8 +241,8 @@ void WormholeSimulator::peek_requests_into(
   // Must stay in lockstep with compute_requests: same release gating (the
   // probed cycle is cycle_ + 1), same stall decision (tick_stall stalls
   // while the pending remaining count is nonzero), same free-channel filter.
-  // `out` entries past `filled` are leftovers from the caller's previous
-  // state; their channel capacity is reused in place.
+  // `out` never shrinks: entries past the returned count are leftovers from
+  // the caller's previous state, kept so their channel capacity is reused.
   std::size_t filled = 0;
   std::vector<ChannelId>& wants = wants_scratch_;
   for (std::size_t i = 0; i < messages_.size(); ++i) {
@@ -274,7 +274,12 @@ void WormholeSimulator::peek_requests_into(
     std::sort(entry.channels.begin(), entry.channels.end());
     ++filled;
   }
-  out.resize(filled);
+  return filled;
+}
+
+void WormholeSimulator::peek_requests_into(
+    std::vector<MessageRequests>& out) const {
+  out.resize(peek_requests_in_place(out));
 }
 
 std::vector<MessageRequests> WormholeSimulator::peek_requests() const {
@@ -358,13 +363,6 @@ inline void put32_at(char*& p, std::uint32_t v) {
   std::memcpy(p, &v, sizeof v);
   p += sizeof v;
 }
-/// Channel slots are fixed 8-byte records at the front of the key, so a
-/// dirty channel patches in place without shifting anything.
-inline void write_key_channel(std::uint32_t owner_plus1, std::uint32_t count,
-                              char* p) {
-  put32_at(p, owner_plus1);
-  put32_at(p, count);
-}
 }  // namespace
 
 std::string_view WormholeSimulator::state_key_view() const {
@@ -404,16 +402,11 @@ void WormholeSimulator::serialize_state_key(std::string& out) const {
   // Size the buffer exactly, then write through a raw pointer — per-byte
   // push_back was a measurable fraction of search time before the cache.
   const std::size_t base = out.size();
-  std::size_t bytes = channels_.size() * 8 + messages_.size() * 17;
+  std::size_t bytes = messages_.size() * 17;
   for (const MessageState& m : messages_)
     bytes += (m.path.size() - m.released) * 8;
   out.resize(base + bytes);
   char* p = out.data() + base;
-  for (const ChannelState& ch : channels_) {
-    write_key_channel(ch.owner.valid() ? ch.owner.value() + 1 : 0, ch.count,
-                      p);
-    p += 8;
-  }
   for (const MessageState& m : messages_) {
     const std::size_t len = 17 + (m.path.size() - m.released) * 8;
     write_key_segment(m, p);
@@ -437,31 +430,14 @@ void WormholeSimulator::refresh_state_key() const {
     key_cache_.clear();
     key_msg_off_.clear();
     key_msg_len_.clear();
-    key_cache_.resize(channels_.size() * 8);
-    char* p = key_cache_.data();
-    for (const ChannelState& ch : channels_) {
-      write_key_channel(ch.owner.valid() ? ch.owner.value() + 1 : 0, ch.count,
-                        p);
-      p += 8;
-    }
     key_msg_off_.reserve(messages_.size());
     key_msg_len_.reserve(messages_.size());
     for (std::size_t i = 0; i < messages_.size(); ++i) append_key_segment(i);
-    key_channel_flag_.assign(channels_.size(), 0);
     key_message_flag_.assign(messages_.size(), 0);
-    key_dirty_channels_.clear();
     key_dirty_messages_.clear();
     key_valid_ = true;
     return;
   }
-
-  for (const std::uint32_t c : key_dirty_channels_) {
-    const ChannelState& ch = channels_[c];
-    write_key_channel(ch.owner.valid() ? ch.owner.value() + 1 : 0, ch.count,
-                      key_cache_.data() + std::size_t{c} * 8);
-    key_channel_flag_[c] = 0;
-  }
-  key_dirty_channels_.clear();
   if (key_dirty_messages_.empty()) return;
 
   // Segments whose length is unchanged (data shifts, consumption counters)
@@ -499,10 +475,9 @@ bool WormholeSimulator::move_message(std::size_t i) {
   MessageState& m = messages_[i];
   const MessageId id{i};
   if (m.status == MessageStatus::kConsumed) return false;
-  // For the incremental state key: every key-relevant mutation below
-  // happens to message i or to a channel in path[old_released, size()),
-  // so one touch sweep at the end of the block covers them all.
-  const std::size_t old_released = m.released;
+  // For the incremental state key: every key-relevant mutation below is
+  // to message i's own progress counters and path, so one touch at the end
+  // of the block covers them all.
   bool moved = false;
 
   // Front operation: consume at destination, advance header, or inject.
@@ -611,13 +586,7 @@ bool WormholeSimulator::move_message(std::size_t i) {
     }
   }
 
-  if (moved) {
-    touch_message(i);
-    // Channel slots that can have changed: the active suffix as of the
-    // start of this block (releases this cycle start at old_released).
-    for (std::size_t j = old_released; j < m.path.size(); ++j)
-      touch_channel(m.path[j]);
-  }
+  if (moved) touch_message(i);
   return moved;
 }
 

@@ -169,9 +169,15 @@ class WormholeSimulator {
   [[nodiscard]] std::vector<MessageRequests> peek_requests() const;
 
   /// peek_requests() into a caller-owned buffer: `out` is overwritten (its
-  /// entries — and their channel vectors — are reused in place, so a search
-  /// that recycles the buffer across states stops allocating once warm).
+  /// entries — and their channel vectors — are reused in place) and resized
+  /// to the request count.
   void peek_requests_into(std::vector<MessageRequests>& out) const;
+
+  /// peek_requests_into() without the final resize: writes the requests to
+  /// out[0, n) and returns n. `out` only ever grows, so entries past n keep
+  /// their channel vectors' capacity for the next call — the deadlock
+  /// search reuses one buffer per DFS frame and never frees an entry.
+  std::size_t peek_requests_in_place(std::vector<MessageRequests>& out) const;
 
   /// Advances one cycle with an explicit grant assignment instead of the
   /// policy: `grants` maps channel -> winning message, and every entry must
@@ -197,12 +203,14 @@ class WormholeSimulator {
   /// True when every message has been fully consumed.
   [[nodiscard]] bool all_consumed() const;
 
-  /// Canonical serialization of the time-independent simulation state
-  /// (channel ownership/occupancy + per-message progress). Two states with
-  /// equal keys behave identically under identical future grant choices, so
-  /// reachability searches may memoize on it. Release times must be in the
-  /// past and per-hop stalls exhausted for the key to be sound; the model
-  /// checker enforces that by construction.
+  /// Canonical serialization of the time-independent simulation state: one
+  /// segment per message (status, progress counters, active path suffix
+  /// with per-hop exit counts). Channel ownership and occupancy are not
+  /// stored: they are a function of the segments (DESIGN.md §12). Two
+  /// states with equal keys behave identically under identical future grant
+  /// choices, so reachability searches may memoize on it. Release times
+  /// must be in the past and per-hop stalls exhausted for the key to be
+  /// sound; the model checker enforces that by construction.
   [[nodiscard]] std::string state_key() const;
 
   /// state_key() into a caller-provided buffer: appends the key bytes to
@@ -425,17 +433,12 @@ class WormholeSimulator {
   /// offset/length in the cache index.
   void append_key_segment(std::size_t i) const;
   /// Brings key_cache_ up to date: full rebuild when invalid, else patch
-  /// the dirty channel slots and message segments in place (segments whose
-  /// length changed rebuild the cache tail from the first such segment).
+  /// the dirty message segments in place (segments whose length changed
+  /// rebuild the cache tail from the first such segment).
   void refresh_state_key() const;
-  /// Marks key-relevant state of channel `c` / message `i` as changed.
-  /// No-ops until the first key build: simulators that never serialize
-  /// (plain workload runs) pay one predictable branch per call.
-  void touch_channel(ChannelId c) {
-    if (!key_valid_ || key_channel_flag_[c.index()]) return;
-    key_channel_flag_[c.index()] = 1;
-    key_dirty_channels_.push_back(static_cast<std::uint32_t>(c.index()));
-  }
+  /// Marks message `i`'s key segment as changed. No-op until the first key
+  /// build: simulators that never serialize (plain workload runs) pay one
+  /// predictable branch per call.
   void touch_message(std::size_t i) {
     if (!key_valid_ || key_message_flag_[i]) return;
     key_message_flag_[i] = 1;
@@ -503,18 +506,16 @@ class WormholeSimulator {
   EventCoreStats event_stats_;
 
   /// Incremental state-key cache. key_cache_ holds the current serialized
-  /// key; after the first build, execute_moves records which channels and
-  /// messages it touched and refresh_state_key() patches only those spans —
-  /// a grant cycle touches O(granted messages) bytes, not O(state). The
-  /// cache copies with the simulator, so a forked child inherits the
-  /// parent's key and patches only its own step's deltas. All mutable:
-  /// append_state_key is morally const. add_message invalidates.
+  /// key; after the first build, execute_moves records which messages it
+  /// touched and refresh_state_key() patches only those segments — a grant
+  /// cycle touches O(granted messages) bytes, not O(state). The cache
+  /// copies with the simulator, so a forked child inherits the parent's key
+  /// and patches only its own step's deltas. All mutable: append_state_key
+  /// is morally const. add_message invalidates.
   mutable std::string key_cache_;
   mutable std::vector<std::uint32_t> key_msg_off_;  ///< segment offsets
   mutable std::vector<std::uint32_t> key_msg_len_;  ///< segment lengths
-  mutable std::vector<std::uint32_t> key_dirty_channels_;
   mutable std::vector<std::uint32_t> key_dirty_messages_;
-  mutable std::vector<std::uint8_t> key_channel_flag_;
   mutable std::vector<std::uint8_t> key_message_flag_;
   mutable bool key_valid_ = false;
   EventHook hook_;

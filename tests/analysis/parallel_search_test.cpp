@@ -171,6 +171,23 @@ TEST(ParallelPaperTest, Fig1SynchronousSafetyMatchesSerial) {
   EXPECT_TRUE(parallel.exhausted);
 }
 
+TEST(ParallelPaperTest, Fig1MinimalDelayIdenticalAcrossThreadCounts) {
+  // Budgets 0-3 in one chunk at 4 threads: budget 2 deadlocks, so budget 3
+  // is stopped early. The answer and the exhaustion of budgets 0-1 must
+  // not notice.
+  const core::CyclicFamily family(core::fig1_spec());
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    bool exhausted = false;
+    const auto min_delay =
+        minimal_deadlock_delay(family.algorithm(), family.message_specs(),
+                               DelayMetric::kTotal, 3, with_threads(threads),
+                               &exhausted);
+    ASSERT_TRUE(min_delay.has_value()) << threads << " threads";
+    EXPECT_EQ(*min_delay, 2u) << threads << " threads";
+    EXPECT_TRUE(exhausted) << threads << " threads";
+  }
+}
+
 TEST(ParallelPaperTest, Fig2DeadlockMatchesSerialBothModels) {
   const core::CyclicFamily family(core::fig2_spec());
   const auto specs = family.message_specs();

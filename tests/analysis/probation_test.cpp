@@ -8,7 +8,8 @@
 // caller gets kReexplore, the full key is promoted to the exact tier, and
 // only a byte-for-byte exact match returns kSeen. These tests force
 // collisions two ways — real ones (two different keys with equal
-// hash_bytes digests, built by inverting the lane-FNV multiply) and
+// hash_bytes digests, built by inverting the fmix64 finalizer and the
+// lane-FNV multiply) and
 // injected ones (distinct keys passed with the same precomputed hash, the
 // exact call shape the search engine uses) — and pin the verdict sequence.
 //
@@ -42,7 +43,7 @@ std::string le64(std::uint64_t w) {
   return out;
 }
 
-/// Multiplicative inverse of the FNV prime mod 2^64 (Newton iteration:
+/// Multiplicative inverse of an odd constant mod 2^64 (Newton iteration:
 /// each step doubles the valid low bits; five steps from an odd seed
 /// cover all 64).
 constexpr std::uint64_t inverse_of(std::uint64_t odd) {
@@ -51,11 +52,26 @@ constexpr std::uint64_t inverse_of(std::uint64_t odd) {
   return inv;
 }
 
+/// Inverse of fmix64: each xor-shift by 33 is its own inverse on 64 bits
+/// (the shifted-in half is shifted out again), and each multiply by an odd
+/// constant is undone by its inverse — applied in reverse order.
+constexpr std::uint64_t unfmix64(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= inverse_of(0xc4ceb9fe1a85ec53ull);
+  h ^= h >> 33;
+  h *= inverse_of(0xff51afd7ed558ccdull);
+  h ^= h >> 33;
+  return h;
+}
+static_assert(unfmix64(fmix64(0x0123456789abcdefull)) == 0x0123456789abcdefull,
+              "unfmix64 inverts fmix64");
+
 /// A genuine hash_bytes collision: an 8-byte key A and a 16-byte key B with
-/// equal lane-FNV digests. hash_bytes folds whole 8-byte lanes and then the
-/// length, every fold a xor followed by a multiply by the (odd, hence
-/// invertible) FNV prime — so the second lane of B can be solved for
-/// exactly, working the digest backwards from A's.
+/// equal digests. hash_bytes folds whole 8-byte lanes and then the length,
+/// every fold a xor followed by a multiply by the (odd, hence invertible)
+/// FNV prime, and finishes with the bijective fmix64 — so undoing fmix64
+/// recovers A's lane-FNV state, and the second lane of B can be solved for
+/// exactly, working that state backwards.
 std::pair<std::string, std::string> colliding_keys() {
   constexpr std::uint64_t kPrime = 0x100000001b3ull;
   constexpr std::uint64_t kBasis = 0xcbf29ce484222325ull;
@@ -64,15 +80,16 @@ std::pair<std::string, std::string> colliding_keys() {
 
   const std::uint64_t word_a = 0x0123456789abcdefull;
   const std::string a = le64(word_a);
-  const std::uint64_t target = hash_bytes(a);
+  const std::uint64_t target = unfmix64(hash_bytes(a));
 
-  // B = [w1][w2], so hash(B) = (((basis ^ w1)*p ^ w2)*p ^ 16)*p. Unwind:
+  // B = [w1][w2], so before fmix64 hash(B) = (((basis ^ w1)*p ^ w2)*p ^
+  // 16)*p. Unwind:
   const std::uint64_t w1 = 0xfeedfacecafebeefull;
   const std::uint64_t x = (kBasis ^ w1) * kPrime;
   const std::uint64_t w2 = ((target * kInv ^ 16) * kInv) ^ x;
   const std::string b = le64(w1) + le64(w2);
 
-  EXPECT_EQ(hash_bytes(b), target);
+  EXPECT_EQ(hash_bytes(b), hash_bytes(a));
   EXPECT_NE(a, b);
   return {a, b};
 }

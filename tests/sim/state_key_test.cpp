@@ -3,8 +3,15 @@
 // as a fresh simulator replaying that history (whose first key call takes
 // the from-scratch path). Divergence here means the dirty-span tracking in
 // execute_moves missed a key-relevant mutation.
+//
+// The key also stores no channel records — channel ownership and occupancy
+// are derived from the per-message segments — so StateKeySoundness walks
+// random grant sequences and checks that equal keys really do pin the
+// whole channel state and the next cycle's requests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <span>
 #include <string>
 #include <utility>
@@ -12,8 +19,11 @@
 
 #include "core/cyclic_family.hpp"
 #include "core/paper_networks.hpp"
+#include "routing/adaptive.hpp"
 #include "sim/simulator.hpp"
 #include "sim/types.hpp"
+#include "topo/builders.hpp"
+#include "util/rng.hpp"
 
 namespace wormsim::sim {
 namespace {
@@ -176,6 +186,138 @@ TEST(StateKeyCache, CopiedSimulatorKeysStayIndependent) {
   EXPECT_EQ(parent.state_key(), pristine.state_key());
   pristine.step_with_grants(greedy_grants(pristine));
   EXPECT_EQ(child.state_key(), pristine.state_key());
+}
+
+/// Everything the key claims to determine that it does not store itself:
+/// every channel's owner and flit count, and the next cycle's requests.
+struct Observed {
+  std::vector<MessageId> owners;
+  std::vector<std::uint32_t> counts;
+  std::vector<MessageRequests> requests;
+};
+
+Observed observe(const WormholeSimulator& sim) {
+  Observed o;
+  for (std::size_t c = 0; c < sim.net().channel_count(); ++c) {
+    o.owners.push_back(sim.channel_owner(ChannelId{c}));
+    o.counts.push_back(sim.channel_count(ChannelId{c}));
+  }
+  o.requests = sim.peek_requests();
+  return o;
+}
+
+/// A random legal grant list for the checked step: each request takes a
+/// random free candidate with probability 3/4 unless another message has
+/// it already. Skipping moving headers too widens the reachable set.
+std::vector<std::pair<ChannelId, MessageId>> random_grants(
+    const std::vector<MessageRequests>& requests, util::Rng& rng) {
+  std::vector<std::pair<ChannelId, MessageId>> grants;
+  for (const MessageRequests& r : requests) {
+    if (!rng.chance(0.75)) continue;
+    const ChannelId c = r.channels[rng.below(r.channels.size())];
+    const bool taken = std::any_of(grants.begin(), grants.end(),
+                                   [c](const auto& g) { return g.first == c; });
+    if (!taken) grants.emplace_back(c, r.message);
+  }
+  return grants;
+}
+
+/// Walks `walks` random grant sequences from `initial` and checks, at
+/// every visited state, the key's length and that any two states with
+/// equal keys agree on everything Observed covers. Returns the number of
+/// revisits (states whose key was already seen), so callers can assert the
+/// check was not vacuous.
+std::size_t check_equal_keys_agree(const WormholeSimulator& initial,
+                                   std::uint64_t seed, int walks,
+                                   int steps) {
+  util::Rng rng(seed);
+  std::map<std::string, Observed> seen;
+  std::size_t revisits = 0;
+  for (int walk = 0; walk < walks; ++walk) {
+    WormholeSimulator sim = initial;
+    for (int step = 0; step < steps && !sim.all_consumed(); ++step) {
+      const std::string key = sim.state_key();
+      std::size_t expected_len = 0;
+      for (std::size_t m = 0; m < sim.message_count(); ++m)
+        expected_len += 17 + 8 * sim.held_channels(MessageId{m}).size();
+      EXPECT_EQ(key.size(), expected_len) << "walk " << walk;
+
+      Observed now = observe(sim);
+      const auto [it, fresh] = seen.emplace(key, now);
+      if (!fresh) {
+        ++revisits;
+        const Observed& before = it->second;
+        EXPECT_EQ(now.owners, before.owners) << "walk " << walk;
+        EXPECT_EQ(now.counts, before.counts) << "walk " << walk;
+        EXPECT_EQ(now.requests.size(), before.requests.size());
+        for (std::size_t i = 0;
+             i < std::min(now.requests.size(), before.requests.size());
+             ++i) {
+          EXPECT_EQ(now.requests[i].message, before.requests[i].message);
+          EXPECT_EQ(now.requests[i].moving, before.requests[i].moving);
+          EXPECT_EQ(now.requests[i].channels, before.requests[i].channels);
+        }
+      }
+      const bool progress =
+          sim.step_with_grants(random_grants(now.requests, rng));
+      if (!progress && now.requests.empty()) break;  // frozen
+    }
+  }
+  return revisits;
+}
+
+WormholeSimulator with_messages(const WormholeSimulator& empty,
+                                const std::vector<MessageSpec>& specs) {
+  WormholeSimulator sim = empty;
+  for (const MessageSpec& spec : specs) sim.add_message(spec);
+  return sim;
+}
+
+TEST(StateKeySoundness, EqualKeysPinChannelsAndRequestsOnFig1x2) {
+  const core::CyclicFamily family(core::fig1_spec());
+  std::vector<MessageSpec> specs = family.message_specs();
+  const std::vector<MessageSpec> once = specs;
+  specs.insert(specs.end(), once.begin(), once.end());
+  const WormholeSimulator sim =
+      with_messages(WormholeSimulator(family.algorithm(), SimConfig{}), specs);
+  EXPECT_GT(check_equal_keys_agree(sim, 11, 300, 60), 0u);
+}
+
+TEST(StateKeySoundness, EqualKeysPinChannelsAndRequestsOnSkewedTree) {
+  core::CyclicFamilySpec spec = core::fig1_spec();
+  for (int i = 0; i < 3; ++i) spec.messages.push_back({2, 1, true});
+  const core::CyclicFamily family(spec);
+  const WormholeSimulator sim = with_messages(
+      WormholeSimulator(family.algorithm(), SimConfig{}),
+      family.message_specs());
+  EXPECT_GT(check_equal_keys_agree(sim, 12, 300, 60), 0u);
+}
+
+TEST(StateKeySoundness, EqualKeysPinChannelsAndRequestsWithDepthTwoBuffers) {
+  const core::CyclicFamily family(core::fig1_spec());
+  SimConfig config;
+  config.buffer_depth = 2;
+  const WormholeSimulator sim = with_messages(
+      WormholeSimulator(family.algorithm(), config), family.message_specs());
+  EXPECT_GT(check_equal_keys_agree(sim, 13, 300, 60), 0u);
+}
+
+TEST(StateKeySoundness, EqualKeysPinChannelsAndRequestsOnAdaptiveMesh) {
+  const topo::Grid grid = topo::make_mesh({3, 3});
+  const routing::MinimalAdaptiveMesh alg(grid);
+  const auto at = [&](int x, int y) {
+    const int coords[] = {x, y};
+    return grid.node_at(coords);
+  };
+  const std::vector<MessageSpec> specs = {
+      {at(0, 0), at(2, 2), 3, 0, {}},
+      {at(2, 0), at(0, 2), 2, 0, {}},
+      {at(2, 2), at(0, 0), 3, 0, {}},
+      {at(0, 2), at(2, 1), 2, 0, {}},
+  };
+  const WormholeSimulator sim =
+      with_messages(WormholeSimulator(alg, SimConfig{}), specs);
+  EXPECT_GT(check_equal_keys_agree(sim, 14, 300, 60), 0u);
 }
 
 }  // namespace
