@@ -118,8 +118,7 @@ BENCHMARK(BM_Search_Fig1MessageCount)->Arg(1)->Arg(2)
 void BM_Search_Fig1Reduction(benchmark::State& state) {
   // The ISSUE-5 headline rows: Figure-1 safety proof at x1/x2 copies under
   // each reduction mode. x2 duplicates every spec, so twin symmetry (safe)
-  // collapses the interchangeable-copy interleavings; on adds per-state
-  // component factorization.
+  // collapses the interchangeable-copy interleavings.
   const core::CyclicFamily family(core::fig1_spec());
   const auto base = family.message_specs();
   std::vector<sim::MessageSpec> specs;
@@ -145,8 +144,8 @@ void BM_Search_Fig1Reduction(benchmark::State& state) {
   state.counters["states_per_sec"] = result.profile.states_per_second;
 }
 BENCHMARK(BM_Search_Fig1Reduction)
-    ->Args({1, 0})->Args({1, 1})->Args({1, 2})
-    ->Args({2, 0})->Args({2, 1})->Args({2, 2})
+    ->Args({1, 0})->Args({1, 1})
+    ->Args({2, 0})->Args({2, 1})
     ->Unit(benchmark::kMillisecond);
 
 void BM_Search_DelayBudgetCost(benchmark::State& state) {
@@ -281,7 +280,9 @@ void BM_Memo_StateTable(benchmark::State& state) {
       for (const auto& key : keys) {
         scratch.clear();
         scratch.append(key);
-        if (visited.insert(scratch)) ++unique;
+        if (visited.lookup_or_insert(scratch) ==
+            analysis::StateTable::Lookup::kFresh)
+          ++unique;
       }
     }
     benchmark::DoNotOptimize(unique);

@@ -48,11 +48,14 @@ int main() {
       simulator.add_message(spec);
     obs::TraceBuffer trace;
     simulator.set_trace_sink(&trace);
-    simulator.set_event_hook([&](sim::Cycle cycle, const std::string& text) {
-      std::printf("  [%2llu] %s\n", static_cast<unsigned long long>(cycle),
-                  text.c_str());
-    });
     const auto result = simulator.run();
+    for (const obs::TraceEvent& event : trace.events()) {
+      const std::string text = obs::legacy_text(event, net);
+      if (!text.empty())
+        std::printf("  [%2llu] %s\n",
+                    static_cast<unsigned long long>(event.cycle),
+                    text.c_str());
+    }
     std::printf("outcome: %s after %llu cycles — the first message injected "
                 "is never blocked (Theorem 1's case analysis).\n",
                 result.outcome == sim::RunOutcome::kAllConsumed

@@ -81,55 +81,34 @@ class TakenSet {
 /// materialized branch vector, so memory stays flat at high branch factors
 /// and each branch is costed only when the DFS actually reaches it.
 ///
-/// Reduction (DESIGN.md §12): the engine may hand the generator a
-/// GenReduction. Twin chains cap each twin's odometer digit at its next
-/// sibling's current value, so only canonical (non-decreasing) option
-/// tuples within each chain are enumerated — every pruned combo is the
-/// image of a canonical one under a twin transposition, which is an
-/// automorphism of the transition system. Independence classes switch the
-/// odometer to phased mode: one class at a time varies over its full range
-/// while every other class stays pinned at its deterministic greedy option,
-/// turning a product of class fan-outs into a sum.
-struct GenReduction {
-  std::vector<std::uint32_t> twin_next;   ///< per request; kNoTwin when none
-  std::vector<std::uint32_t> comp_of;     ///< per request; set when phased
-  std::vector<std::uint32_t> greedy_opt;  ///< per request; set when phased
-  std::uint32_t comp_count = 1;           ///< > 1 enables phased mode
-
-  /// Back to the default-constructed state, keeping vector capacity — a
-  /// reused DFS frame resets its generator's instance for each new state.
-  void reset() {
-    twin_next.clear();
-    comp_of.clear();
-    greedy_opt.clear();
-    comp_count = 1;
-  }
-};
-
+/// Reduction (DESIGN.md §12): the engine may fill the generator's twin
+/// chains. They cap each twin's odometer digit at its next sibling's
+/// current value, so only canonical (non-decreasing) option tuples within
+/// each chain are enumerated — every pruned combo is the image of a
+/// canonical one under a twin transposition, which is an automorphism of
+/// the transition system.
 class AssignmentGenerator {
  public:
   /// Buffers the caller fills before start(): the state's request list
   /// (entries past the count passed to start() are spare capacity from
-  /// earlier states) and the reduction structure. Both belong to the
-  /// generator, so a DFS frame that is reused for state after state keeps
-  /// their heap capacity and stops allocating once warm.
+  /// earlier states) and the twin chains (per request, kNoTwin when none;
+  /// empty when no request has a twin). Both belong to the generator, so a
+  /// DFS frame that is reused for state after state keeps their heap
+  /// capacity and stops allocating once warm.
   std::vector<sim::MessageRequests>& request_buffer() { return requests_; }
-  GenReduction& reduction() { return red_; }
+  std::vector<std::uint32_t>& twin_next() { return twin_next_; }
 
   /// Starts enumerating over the first `count` entries of request_buffer()
-  /// with the reduction() filled in for this state.
+  /// with twin_next() filled in for this state.
   void start(std::size_t count, AdversaryModel model,
              std::size_t max_branches) {
     count_ = count;
     odometer_.assign(count, 0);
-    phased_ = red_.comp_count > 1;
-    phase_ = 0;
     model_ = model;
     max_branches_ = max_branches;
     yielded_ = 0;
     done_ = false;
     truncated_ = false;
-    if (phased_) load_phase();
   }
 
   /// Fills `out` with the next legal assignment; returns false when the
@@ -142,19 +121,14 @@ class AssignmentGenerator {
         truncated_ = true;  // unexplored combos remain beyond the cap
         return false;
       }
-      // Phased mode: the all-greedy combo already appeared while phase 0's
-      // class swept over its own greedy option; later phases would repeat
-      // it, so the revisit is skipped.
-      bool valid = !(phase_ > 0 && varying_class_is_greedy());
-      if (valid) {
-        out.clear();
-        taken.reset();
-        for (std::size_t i = 0; i < m && valid; ++i) {
-          if (is_skip(i)) continue;
-          const ChannelId c = requests_[i].channels[odometer_[i]];
-          if (!taken.try_take(c)) valid = false;  // collision
-          else out.grants.emplace_back(c, requests_[i].message);
-        }
+      bool valid = true;
+      out.clear();
+      taken.reset();
+      for (std::size_t i = 0; i < m && valid; ++i) {
+        if (is_skip(i)) continue;
+        const ChannelId c = requests_[i].channels[odometer_[i]];
+        if (!taken.try_take(c)) valid = false;  // collision
+        else out.grants.emplace_back(c, requests_[i].message);
       }
       if (valid) {
         for (std::size_t i = 0; i < m && valid; ++i) {
@@ -196,50 +170,24 @@ class AssignmentGenerator {
   /// other collision).
   [[nodiscard]] std::size_t limit(std::size_t i) const {
     std::size_t cap = requests_[i].channels.size();
-    if (!red_.twin_next.empty() && red_.twin_next[i] != kNoTwin)
-      cap = std::min(cap, odometer_[red_.twin_next[i]]);
+    if (!twin_next_.empty() && twin_next_[i] != kNoTwin)
+      cap = std::min(cap, odometer_[twin_next_[i]]);
     return cap;
-  }
-
-  /// Phased mode: requests outside the currently varying class hold their
-  /// greedy option and are never advanced.
-  [[nodiscard]] bool pinned(std::size_t i) const {
-    return phased_ && red_.comp_of[i] != phase_;
-  }
-
-  [[nodiscard]] bool varying_class_is_greedy() const {
-    for (std::size_t i = 0; i < count_; ++i)
-      if (red_.comp_of[i] == phase_ && odometer_[i] != red_.greedy_opt[i])
-        return false;
-    return true;
-  }
-
-  void load_phase() {
-    for (std::size_t i = 0; i < count_; ++i)
-      odometer_[i] = pinned(i) ? red_.greedy_opt[i] : 0;
   }
 
   void advance() {
     const std::size_t m = count_;
     for (std::size_t i = 0; i < m; ++i) {
-      if (pinned(i)) continue;
       if (++odometer_[i] <= limit(i)) return;
       odometer_[i] = 0;
     }
-    // The (current phase's) odometer wrapped around.
-    if (!phased_ || ++phase_ >= red_.comp_count) {
-      done_ = true;
-      return;
-    }
-    load_phase();
+    done_ = true;  // the odometer wrapped around
   }
 
   std::vector<sim::MessageRequests> requests_;
   std::size_t count_ = 0;  ///< live prefix of requests_
   std::vector<std::size_t> odometer_;
-  GenReduction red_;
-  bool phased_ = false;
-  std::uint32_t phase_ = 0;
+  std::vector<std::uint32_t> twin_next_;
   AdversaryModel model_ = AdversaryModel::kSynchronous;
   std::size_t max_branches_ = 0;
   std::size_t yielded_ = 0;
@@ -292,17 +240,11 @@ constexpr std::uint64_t kStatusPublishStride = 1024;
 /// starving peers will drain the deque long before then.
 constexpr std::size_t kDequeCap = 64;
 
-/// Per-search reduction inputs, resolved once by the entry points: message
-/// specs (twin detection) and — when every route could be traced — the full
-/// oblivious route of each message (component independence). Both indexed
-/// by MessageId. Adaptive searches carry specs only: without a fixed route
-/// there is no shrinking active suffix, so component reduction degrades to
-/// twin symmetry alone.
+/// Per-search reduction inputs, resolved once by the entry points: the
+/// message specs (twin detection), indexed by MessageId.
 struct ReductionContext {
   ReductionMode mode = ReductionMode::kOff;
   std::vector<sim::MessageSpec> specs;
-  std::vector<std::vector<ChannelId>> routes;
-  bool have_routes = false;
 };
 
 /// The DFS engine shared by the oblivious and adaptive entry points.
@@ -317,17 +259,15 @@ struct ReductionContext {
 /// — so the one deep subtree of a skewed tree keeps getting re-divided
 /// instead of pinning a single worker. All workers memoize through one
 /// striped StateTable. Soundness of "exhausted": a state is recorded in
-/// the table exactly once (twice under the probation tier, which never
-/// prunes on a fingerprint-only match), by a worker that then expands it,
-/// so when every item completes without hitting a limit the union of the
-/// explorations covers every reachable state — and conversely any reachable
-/// deadlock is found by some worker. The deadlock verdict is therefore
-/// deterministic; ties between concurrently found deadlocks break to the
-/// lexicographically least Dewey ordinal (the DFS-first one), and with
-/// SearchLimits::canonical_witness the whole deadlock-positive result is
-/// re-derived serially so it is byte-identical to a threads=1 run. Either
-/// way the witness is rebuilt by a serial step_with_grants replay from the
-/// initial state, which revalidates every grant.
+/// the table exactly once, by a worker that then expands it, so when every
+/// item completes without hitting a limit the union of the explorations
+/// covers every reachable state — and conversely any reachable deadlock is
+/// found by some worker. The deadlock verdict is therefore deterministic;
+/// ties between concurrently found deadlocks break to the lexicographically
+/// least Dewey ordinal (the DFS-first one), and the whole deadlock-positive
+/// result is re-derived serially so it is byte-identical to a threads=1
+/// run. Either way the witness is rebuilt by a serial step_with_grants
+/// replay from the initial state, which revalidates every grant.
 class SearchEngine {
  public:
   /// `cancel`, when non-null, is polled like a found deadlock: once it
@@ -349,7 +289,7 @@ class SearchEngine {
             threads_ <= 1
                 ? std::size_t{1}
                 : std::min<std::size_t>(256, std::size_t{threads_} * 8),
-            limits.memo_probation, limits.memo_budget_bytes}) {}
+            limits.memo_budget_bytes}) {}
 
   DeadlockSearchResult run(sim::WormholeSimulator root,
                            std::size_t message_count) {
@@ -419,7 +359,7 @@ class SearchEngine {
     // — the expensive case — never reach this. Falls back to the raw
     // parallel winner if the serial rerun hits a limit first (possible when
     // the parallel schedule lucked into the deadlock within max_states).
-    if (found && threads_ > 1 && limits_.canonical_witness) {
+    if (found && threads_ > 1) {
       SearchLimits serial_limits = limits_;
       serial_limits.threads = 1;
       serial_limits.status = nullptr;
@@ -470,10 +410,8 @@ class SearchEngine {
   }
 
  private:
-  /// What registering a state decided. kReexplore (probation tier only) is
-  /// handled like kFresh by every caller — the state must be expanded —
-  /// but is counted separately in the profile.
-  enum class Register { kFresh, kSeen, kReexplore, kOverBudget };
+  /// What registering a state decided.
+  enum class Register { kFresh, kSeen, kOverBudget };
 
   /// No simulator slot (a frame whose last branch adopted its slot).
   static constexpr std::uint32_t kNoSlot =
@@ -530,10 +468,6 @@ class SearchEngine {
     /// The DFS stack of the running item: frames[0, depth) are live, the
     /// rest are popped frames kept for their buffers.
     std::vector<Frame> frames;
-    /// Reduction scratch (analysis/reduction.hpp), reused across states.
-    ComponentScratch comp_scratch;
-    std::vector<std::span<const ChannelId>> actives;
-    std::vector<std::uint32_t> comp_of;
     SearchProfile profile;
     bool exhausted = true;
     bool found_deadlock = false;
@@ -626,14 +560,10 @@ class SearchEngine {
     }
     // Every expansion is charged to the registering worker, so the
     // per-worker shards partition states_explored exactly: folding every
-    // worker's memo_misses + reexplorations reproduces the global count.
-    if (look == StateTable::Lookup::kFresh)
-      ++w.profile.memo_misses;
-    else
-      ++w.profile.reexplorations;
+    // worker's memo_misses reproduces the global count.
+    ++w.profile.memo_misses;
     if (status_ != nullptr &&
-        ((w.profile.memo_misses + w.profile.reexplorations) &
-         (kStatusPublishStride - 1)) == 0) {
+        (w.profile.memo_misses & (kStatusPublishStride - 1)) == 0) {
       SearchProfile live = w.profile;
       if (w.in_busy_phase)
         live.busy_ns += static_cast<std::uint64_t>(
@@ -653,8 +583,7 @@ class SearchEngine {
                                 : 0)
                         << " states/s";
     }
-    return look == StateTable::Lookup::kFresh ? Register::kFresh
-                                              : Register::kReexplore;
+    return Register::kFresh;
   }
 
   /// Copies (lvalue) or moves (rvalue) `sim` into a free slot, appending
@@ -673,60 +602,16 @@ class SearchEngine {
     return slot;
   }
 
-  /// Builds the generator's reduction structure for one state (reduction.hpp
-  /// has the primitives, DESIGN.md §12 the soundness arguments): twin chains
-  /// always; in kOn additionally the independence classes of the request
-  /// list under active-suffix connectivity, with the greedy option of every
-  /// request precomputed for class pinning.
-  void prepare_reduction(const sim::WormholeSimulator& sim,
-                         std::span<const sim::MessageRequests> groups,
+  /// Fills the generator's twin chains for one state (reduction.hpp has
+  /// the primitive, DESIGN.md §12 the soundness argument); left empty when
+  /// no request has a twin.
+  void prepare_reduction(std::span<const sim::MessageRequests> groups,
                          std::span<const std::uint32_t> spent,
-                         GenReduction& red, Worker& w) {
-    twin_next_siblings(groups, red_.specs, spent, red.twin_next);
+                         std::vector<std::uint32_t>& twin_next) {
+    twin_next_siblings(groups, red_.specs, spent, twin_next);
     bool any_twin = false;
-    for (const std::uint32_t t : red.twin_next) any_twin |= (t != kNoTwin);
-    if (!any_twin) red.twin_next.clear();
-
-    if (red_.mode != ReductionMode::kOn || !red_.have_routes ||
-        groups.size() < 2)
-      return;
-    const std::size_t n = sim.message_count();
-    w.actives.clear();
-    w.actives.reserve(n);
-    for (std::size_t m = 0; m < n; ++m) {
-      std::span<const ChannelId> active;
-      if (sim.status(MessageId{m}) != sim::MessageStatus::kConsumed) {
-        // Channels the message may still hold or acquire: the unreleased
-        // suffix of its route. This set only ever shrinks, which is what
-        // lets "independent now" mean "independent forever".
-        const std::vector<ChannelId>& route = red_.routes[m];
-        const std::size_t from =
-            std::min(sim.released_count(MessageId{m}), route.size());
-        active = std::span<const ChannelId>(route).subspan(from);
-      }
-      w.actives.push_back(active);
-    }
-    const std::uint32_t count = request_components(
-        groups, w.actives, net_.channel_count(), w.comp_scratch, w.comp_of);
-    if (count < 2) return;
-    red.comp_of = w.comp_of;
-    red.comp_count = count;
-    // Greedy resolution: scanning in request order, each request takes its
-    // lowest free untaken candidate, else skips. A pinned moving request is
-    // therefore never idle beside a free candidate, so the pinned classes
-    // are legal in both adversary models and cost no delay budget.
-    red.greedy_opt.resize(groups.size());
-    w.taken.reset();
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-      red.greedy_opt[i] =
-          static_cast<std::uint32_t>(groups[i].channels.size());  // skip
-      for (std::size_t k = 0; k < groups[i].channels.size(); ++k) {
-        if (w.taken.try_take(groups[i].channels[k])) {
-          red.greedy_opt[i] = static_cast<std::uint32_t>(k);
-          break;
-        }
-      }
-    }
+    for (const std::uint32_t t : twin_next) any_twin |= (t != kNoTwin);
+    if (!any_twin) twin_next.clear();
   }
 
   enum class Open { kPushed, kTerminal };
@@ -759,13 +644,11 @@ class SearchEngine {
         return Open::kTerminal;
       }
     }
-    GenReduction& red = gen.reduction();
-    red.reset();
+    gen.twin_next().clear();
     if (red_.mode != ReductionMode::kOff && count > 0)
-      prepare_reduction(w.sims[slot],
-                        std::span<const sim::MessageRequests>(requests.data(),
+      prepare_reduction(std::span<const sim::MessageRequests>(requests.data(),
                                                               count),
-                        w.spent_scratch, red, w);
+                        w.spent_scratch, gen.twin_next());
     gen.start(count, model_, limits_.max_branches_per_state);
     frame.slot = slot;
     if (delay_mode_) std::swap(frame.spent, w.spent_scratch);
@@ -1258,11 +1141,12 @@ void finish_decomposed_witness(DeadlockSearchResult& total,
 /// remap-and-replay above reproduces the deadlock exactly.
 std::optional<DeadlockSearchResult> decomposed_find_deadlock(
     const routing::RoutingAlgorithm& alg,
-    std::span<const sim::MessageSpec> messages, const ReductionContext& red,
+    std::span<const sim::MessageSpec> messages,
+    std::span<const std::vector<ChannelId>> routes,
     const SearchLimits& limits) {
   std::vector<std::uint32_t> comp_of;
   const std::uint32_t count =
-      route_components(red.routes, alg.net().channel_count(), comp_of);
+      route_components(routes, alg.net().channel_count(), comp_of);
   if (count < 2) return std::nullopt;
 
   const auto start = std::chrono::steady_clock::now();
@@ -1317,23 +1201,22 @@ DeadlockSearchResult find_deadlock_cancellable(
   red.mode = limits.reduction;
   if (red.mode != ReductionMode::kOff) {
     red.specs.assign(messages.begin(), messages.end());
-    red.have_routes = true;
-    red.routes.reserve(messages.size());
-    for (const sim::MessageSpec& spec : messages) {
-      auto route = routing::trace_path(alg, spec.src, spec.dst);
-      if (!route) {
-        // Untraceable route (e.g. a livelocking table): no shrinking
-        // active-suffix structure, so fall back to twin symmetry alone.
-        red.have_routes = false;
-        red.routes.clear();
-        break;
+    if (model == AdversaryModel::kSynchronous && messages.size() >= 2) {
+      // The root decomposition needs every message's oblivious route; an
+      // untraceable one (e.g. a livelocking table) leaves twin symmetry
+      // alone.
+      std::vector<std::vector<ChannelId>> routes;
+      routes.reserve(messages.size());
+      for (const sim::MessageSpec& spec : messages) {
+        auto route = routing::trace_path(alg, spec.src, spec.dst);
+        if (!route) break;
+        routes.push_back(std::move(*route));
       }
-      red.routes.push_back(std::move(*route));
-    }
-    if (red.have_routes && model == AdversaryModel::kSynchronous &&
-        messages.size() >= 2) {
-      if (auto result = decomposed_find_deadlock(alg, messages, red, limits))
-        return *std::move(result);
+      if (routes.size() == messages.size()) {
+        if (auto result =
+                decomposed_find_deadlock(alg, messages, routes, limits))
+          return *std::move(result);
+      }
     }
   }
   sim::SimConfig config;

@@ -238,7 +238,7 @@ Evaluation evaluate_impl(const Scenario& scenario, const EvalOptions& options,
   limits.build_witness = false;
   // In cross-check mode the RECORDED arm always runs unreduced, so the
   // JSONL and cache bytes match a plain reduction-off campaign exactly;
-  // the requested mode is what the shadow arm below re-runs with.
+  // the shadow arm below re-runs with reduction safe.
   if (options.cross_check_reduction)
     limits.reduction = analysis::ReductionMode::kOff;
 
@@ -287,14 +287,11 @@ Evaluation evaluate_impl(const Scenario& scenario, const EvalOptions& options,
       cache->insert(key, TruthRecord{eval.outcome, eval.states,
                                      /*from_disk=*/false});
     if (options.cross_check_reduction) {
-      // Shadow arm: same probes, reduction on. Runs into a scratch
+      // Shadow arm: same probes, reduction safe. Runs into a scratch
       // Evaluation so the recorded states/profile stay those of the
       // unreduced arm. Only conflicting DEFINITE outcomes diverge.
       analysis::SearchLimits reduced = limits;
-      reduced.reduction =
-          options.limits.reduction != analysis::ReductionMode::kOff
-              ? options.limits.reduction
-              : analysis::ReductionMode::kOn;
+      reduced.reduction = analysis::ReductionMode::kSafe;
       Evaluation shadow;
       shadow.classification = eval.classification;
       const SearchOutcome other = ground_truth(shadow, reduced);
@@ -575,7 +572,6 @@ CampaignResult run_range_impl(const CampaignConfig& config,
             snap.search.table_arena_bytes += s.table.arena_bytes;
             snap.search.table_stripes += s.table.stripes;
             snap.search.table_contended_locks += s.table.contended_locks;
-            snap.search.table_probation_keys += s.table.probation_keys;
             snap.search.table_resident_bytes += s.table.resident_bytes;
             for (const analysis::SearchProfile& p : s.workers)
               live_merged.merge_from(p);
@@ -598,7 +594,6 @@ CampaignResult run_range_impl(const CampaignConfig& config,
           snap.search.peak_depth = live_merged.peak_depth;
           snap.search.branch_truncations = live_merged.branch_truncations;
           snap.search.budget_prunes = live_merged.budget_prunes;
-          snap.search.reexplorations = live_merged.reexplorations;
           snap.search.steals = live_merged.steals;
           snap.search.steal_attempts = live_merged.steal_attempts;
           snap.search.splits = live_merged.splits;

@@ -63,11 +63,10 @@ struct EvalOptions {
   /// Mechanical soundness check for the reduction layer: every ground-truth
   /// search runs twice on a cache miss — once with reduction off (that run
   /// is what gets recorded and cached, so JSONL/cache bytes are identical
-  /// to a plain reduction-off campaign) and once reduced (limits.reduction,
-  /// or kOn when limits leave it off). A divergence is two CONFLICTING
-  /// definite outcomes (deadlock vs no-deadlock); inconclusive-vs-definite
-  /// is not one, since the reduced search legitimately decides instances
-  /// the unreduced budget cannot.
+  /// to a plain reduction-off campaign) and once with reduction safe. A
+  /// divergence is two CONFLICTING definite outcomes (deadlock vs
+  /// no-deadlock); inconclusive-vs-definite is not one, since the reduced
+  /// search legitimately decides instances the unreduced budget cannot.
   bool cross_check_reduction = false;
 };
 

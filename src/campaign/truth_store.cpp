@@ -142,16 +142,16 @@ std::uint64_t truth_fingerprint(const analysis::SearchLimits& limits,
   // forces single-threaded searches, so it cannot affect records at all.
   if (limits.reduction != analysis::ReductionMode::kOff)
     os << ";reduction=" << analysis::to_string(limits.reduction);
-  // Probation re-explores fingerprint-collided states, so the recorded
-  // states count (expansions) can differ from the exact table's; a byte
-  // budget can turn exhaustive verdicts inconclusive. Both therefore get
-  // their own cache namespace. Off / unlimited appends nothing, keeping
-  // every existing cache file warm. steal_granularity and canonical_witness
-  // are never folded: they only reshape the schedule and which witness is
-  // reported, and campaign probes force threads=1 where neither can bite.
-  if (limits.memo_probation) os << ";memo_probation=1";
+  // A byte budget can turn exhaustive verdicts inconclusive, so it gets
+  // its own cache namespace; unlimited appends nothing, keeping every
+  // existing cache file warm. How many states fit in a budget depends on
+  // the table's per-state bytes, so the namespace also names the memo
+  // layout (2: the channel-free state key), and a budgeted cache written
+  // under an older layout misses instead of replaying records a cold run
+  // now decides. steal_granularity is never folded: it only reshapes the
+  // schedule, and campaign probes force threads=1 where it cannot bite.
   if (limits.memo_budget_bytes != 0)
-    os << ";memo_budget=" << limits.memo_budget_bytes;
+    os << ";memo_budget=" << limits.memo_budget_bytes << ";memo_layout=2";
   return fnv1a(os.str());
 }
 

@@ -8,10 +8,9 @@
 // chrome://tracing / https://ui.perfetto.dev as per-message instant marks
 // and per-channel occupancy spans.
 //
-// The legacy string EventHook survives as an adapter: legacy_text() formats
-// the exact strings the simulator used to emit (only the four
-// message-lifecycle kinds have legacy text; channel-level and blocked
-// events return empty).
+// legacy_text() formats the one-line narration the simulator's Trace-level
+// log prints (only the four message-lifecycle kinds have one; channel-level
+// and blocked events return empty).
 #pragma once
 
 #include <cstdint>
@@ -74,9 +73,8 @@ class TraceBuffer : public TraceSink {
   std::vector<TraceEvent> events_;
 };
 
-/// The exact string the legacy EventHook used to receive for this event, or
-/// empty for kinds that had no legacy narration (blocked, channel-acquire,
-/// channel-release).
+/// The narration line for this event, or empty for kinds that have none
+/// (blocked, channel-acquire, channel-release).
 std::string legacy_text(const TraceEvent& event, const topo::Network& net);
 
 /// One event as a single-line JSON object (no trailing newline). With a

@@ -4,15 +4,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace wormsim::analysis {
 namespace {
+
+using Lookup = StateTable::Lookup;
 
 std::vector<std::string> random_keys(std::size_t count, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -29,19 +33,76 @@ std::vector<std::string> random_keys(std::size_t count, std::uint64_t seed) {
   return keys;
 }
 
+std::string le64(std::uint64_t w) {
+  std::string out(8, '\0');
+  std::memcpy(out.data(), &w, 8);
+  return out;
+}
+
+/// Multiplicative inverse of an odd constant mod 2^64 (Newton iteration:
+/// each step doubles the valid low bits; five steps from an odd seed
+/// cover all 64).
+constexpr std::uint64_t inverse_of(std::uint64_t odd) {
+  std::uint64_t inv = odd;
+  for (int i = 0; i < 5; ++i) inv *= 2 - odd * inv;
+  return inv;
+}
+
+/// Inverse of fmix64: each xor-shift by 33 is its own inverse on 64 bits
+/// (the shifted-in half is shifted out again), and each multiply by an odd
+/// constant is undone by its inverse — applied in reverse order.
+constexpr std::uint64_t unfmix64(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= inverse_of(0xc4ceb9fe1a85ec53ull);
+  h ^= h >> 33;
+  h *= inverse_of(0xff51afd7ed558ccdull);
+  h ^= h >> 33;
+  return h;
+}
+static_assert(unfmix64(fmix64(0x0123456789abcdefull)) == 0x0123456789abcdefull,
+              "unfmix64 inverts fmix64");
+
+/// A genuine hash_bytes collision: an 8-byte key A and a 16-byte key B with
+/// equal digests. hash_bytes folds whole 8-byte lanes and then the length,
+/// every fold a xor followed by a multiply by the (odd, hence invertible)
+/// FNV prime, and finishes with the bijective fmix64 — so undoing fmix64
+/// recovers A's lane-FNV state, and the second lane of B can be solved for
+/// exactly, working that state backwards.
+std::pair<std::string, std::string> colliding_keys() {
+  constexpr std::uint64_t kPrime = 0x100000001b3ull;
+  constexpr std::uint64_t kBasis = 0xcbf29ce484222325ull;
+  constexpr std::uint64_t kInv = inverse_of(kPrime);
+  static_assert(kInv * kPrime == 1, "inverse sanity");
+
+  const std::uint64_t word_a = 0x0123456789abcdefull;
+  const std::string a = le64(word_a);
+  const std::uint64_t target = unfmix64(hash_bytes(a));
+
+  // B = [w1][w2], so before fmix64 hash(B) = (((basis ^ w1)*p ^ w2)*p ^
+  // 16)*p. Unwind:
+  const std::uint64_t w1 = 0xfeedfacecafebeefull;
+  const std::uint64_t x = (kBasis ^ w1) * kPrime;
+  const std::uint64_t w2 = ((target * kInv ^ 16) * kInv) ^ x;
+  const std::string b = le64(w1) + le64(w2);
+
+  EXPECT_EQ(hash_bytes(b), hash_bytes(a));
+  EXPECT_NE(a, b);
+  return {a, b};
+}
+
 TEST(StateTable, InsertReportsFirstVisitExactlyOnce) {
   StateTable table;
-  EXPECT_TRUE(table.insert("alpha"));
-  EXPECT_FALSE(table.insert("alpha"));
-  EXPECT_TRUE(table.insert("beta"));
-  EXPECT_FALSE(table.insert("beta"));
-  EXPECT_FALSE(table.insert("alpha"));
+  EXPECT_EQ(table.lookup_or_insert("alpha"), Lookup::kFresh);
+  EXPECT_EQ(table.lookup_or_insert("alpha"), Lookup::kSeen);
+  EXPECT_EQ(table.lookup_or_insert("beta"), Lookup::kFresh);
+  EXPECT_EQ(table.lookup_or_insert("beta"), Lookup::kSeen);
+  EXPECT_EQ(table.lookup_or_insert("alpha"), Lookup::kSeen);
   EXPECT_EQ(table.size(), 2u);
 }
 
 TEST(StateTable, MatchesUnorderedSetReference) {
   // Random binary keys with deliberate duplicates: the table must agree
-  // with std::unordered_set on every single insert() verdict.
+  // with std::unordered_set on every single lookup_or_insert() verdict.
   auto keys = random_keys(2000, 12345);
   auto dups = keys;
   keys.insert(keys.end(), dups.begin(), dups.end());
@@ -52,7 +113,8 @@ TEST(StateTable, MatchesUnorderedSetReference) {
   StateTable table(4);
   std::unordered_set<std::string> reference;
   for (const std::string& key : keys)
-    EXPECT_EQ(table.insert(key), reference.insert(key).second) << "key mismatch";
+    EXPECT_EQ(table.lookup_or_insert(key) == Lookup::kFresh,
+              reference.insert(key).second) << "key mismatch";
   EXPECT_EQ(table.size(), reference.size());
 }
 
@@ -62,9 +124,11 @@ TEST(StateTable, GrowsPastInitialCapacityPerStripe) {
   const auto keys = random_keys(5000, 777);
   std::unordered_set<std::string> reference;
   for (const std::string& key : keys)
-    EXPECT_EQ(table.insert(key), reference.insert(key).second);
+    EXPECT_EQ(table.lookup_or_insert(key) == Lookup::kFresh,
+              reference.insert(key).second);
   EXPECT_EQ(table.size(), reference.size());
-  for (const std::string& key : keys) EXPECT_FALSE(table.insert(key));
+  for (const std::string& key : keys)
+    EXPECT_EQ(table.lookup_or_insert(key), Lookup::kSeen);
 }
 
 TEST(StateTable, StripeCountRoundsUpToPowerOfTwo) {
@@ -98,12 +162,39 @@ TEST(StateTable, HashBytesIsDeterministicAndLengthSensitive) {
 
 TEST(StateTable, ZeroHashKeysAreStillStoredExactly) {
   // Even if two keys landed on the remapped zero hash, exact key compare
-  // keeps them distinct; here just exercise insert/dup through insert_hashed
-  // with a forced hash of 0.
+  // keeps them distinct; here just exercise insert/dup through
+  // lookup_or_insert_hashed with a forced hash of 0.
   StateTable table;
-  EXPECT_TRUE(table.insert_hashed("first", 0));
-  EXPECT_FALSE(table.insert_hashed("first", 0));
-  EXPECT_TRUE(table.insert_hashed("second", 0));  // collides, differs
+  EXPECT_EQ(table.lookup_or_insert_hashed("first", 0), Lookup::kFresh);
+  EXPECT_EQ(table.lookup_or_insert_hashed("first", 0), Lookup::kSeen);
+  // Collides with "first", differs from it.
+  EXPECT_EQ(table.lookup_or_insert_hashed("second", 0), Lookup::kFresh);
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(StateTable, RealFingerprintCollisionNeverPrunes) {
+  // The dangerous failure mode of hash memoization is a false kSeen on a
+  // 64-bit collision: it would silently prune a reachable subtree and turn
+  // "exhausted" into a lie. Two distinct keys with equal hash_bytes digests
+  // must each be recorded once and only then seen.
+  const auto [a, b] = colliding_keys();
+  StateTable table;
+  EXPECT_EQ(table.lookup_or_insert(a), Lookup::kFresh);
+  EXPECT_EQ(table.lookup_or_insert(b), Lookup::kFresh);
+  EXPECT_EQ(table.lookup_or_insert(a), Lookup::kSeen);
+  EXPECT_EQ(table.lookup_or_insert(b), Lookup::kSeen);
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(StateTable, InjectedEqualHashesNeverAliasAcrossDistinctKeys) {
+  // The same corner through the precomputed-hash entry point the engine
+  // uses, with a hand-picked hash so the collision is under test control.
+  StateTable table;
+  const std::uint64_t h = 0x5eed5eed5eed5eedull;
+  EXPECT_EQ(table.lookup_or_insert_hashed("first-key", h), Lookup::kFresh);
+  EXPECT_EQ(table.lookup_or_insert_hashed("second-key", h), Lookup::kFresh);
+  EXPECT_EQ(table.lookup_or_insert_hashed("second-key", h), Lookup::kSeen);
+  EXPECT_EQ(table.lookup_or_insert_hashed("first-key", h), Lookup::kSeen);
   EXPECT_EQ(table.size(), 2u);
 }
 
@@ -130,8 +221,9 @@ TEST(StateTable, SpentCountersDifferingBy256DoNotAlias) {
 
   StateTable table;
   const std::string base = "state-bytes";
-  EXPECT_TRUE(table.insert(base + spent0));
-  EXPECT_TRUE(table.insert(base + spent256));  // distinct, not a revisit
+  EXPECT_EQ(table.lookup_or_insert(base + spent0), Lookup::kFresh);
+  // Distinct, not a revisit.
+  EXPECT_EQ(table.lookup_or_insert(base + spent256), Lookup::kFresh);
   EXPECT_EQ(table.size(), 2u);
 }
 
@@ -148,7 +240,7 @@ TEST(StateTable, StatsReportOccupancyAfterQuiescence) {
   std::uint64_t raw_bytes = 0;
   for (const std::string& key : keys)
     if (reference.insert(key).second) raw_bytes += key.size();
-  for (const std::string& key : keys) table.insert(key);
+  for (const std::string& key : keys) table.lookup_or_insert(key);
 
   const StateTable::Stats stats = table.stats();
   EXPECT_EQ(stats.keys, reference.size());
@@ -174,7 +266,7 @@ TEST(StateTable, StatsAreSamplingSafeDuringConcurrentInserts) {
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < 2; ++t)
     pool.emplace_back([&] {
-      for (const std::string& key : keys) table.insert(key);
+      for (const std::string& key : keys) table.lookup_or_insert(key);
     });
   for (std::thread& th : pool) th.join();
   done.store(true);
@@ -186,7 +278,7 @@ TEST(StateTable, StatsAreSamplingSafeDuringConcurrentInserts) {
 
 TEST(StateTable, ConcurrentInsertersAgreeOnFirstVisit) {
   // Every key is inserted by several threads; across all threads exactly
-  // one insert() per distinct key may return true. Run under TSan in CI.
+  // one lookup per distinct key may return kFresh. Run under TSan in CI.
   const auto keys = random_keys(512, 4242);
   constexpr unsigned kThreads = 4;
   StateTable table(kThreads * 8);
@@ -200,7 +292,8 @@ TEST(StateTable, ConcurrentInsertersAgreeOnFirstVisit) {
       // Each thread visits the keys in a different order.
       for (std::size_t i = 0; i < keys.size(); ++i) {
         const std::size_t k = (i * (t + 1) + t) % keys.size();
-        if (table.insert(keys[k])) won[t][k] = 1;
+        if (table.lookup_or_insert(keys[k]) == Lookup::kFresh)
+          won[t][k] = 1;
       }
     });
   for (std::thread& th : pool) th.join();

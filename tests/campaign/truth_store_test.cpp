@@ -1,6 +1,7 @@
 // TruthStore: on-disk format robustness (corrupt tails, version and
-// fingerprint mismatches), atomic-rename save under racing writers, and
-// cross-store merge semantics.
+// fingerprint mismatches), atomic-rename save under racing writers,
+// cross-store merge semantics, and which search knobs fold into the
+// fingerprint.
 #include "campaign/truth_store.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <sstream>
 #include <thread>
 #include <vector>
+
+#include "campaign/runner.hpp"
 
 namespace wormsim::campaign {
 namespace {
@@ -254,9 +257,9 @@ TEST(TruthStore, FingerprintTracksSearchKnobs) {
 }
 
 TEST(TruthStore, FingerprintFoldsReductionOnlyWhenEnabled) {
-  // Reduction keeps verdicts but changes recorded states counts, so non-off
-  // modes need their own cache namespace — while kOff must keep the exact
-  // legacy digest so pre-reduction cache files stay warm.
+  // Reduction keeps verdicts but changes recorded states counts, so safe
+  // needs its own cache namespace — while kOff must keep the exact legacy
+  // digest so pre-reduction cache files stay warm.
   analysis::SearchLimits limits;
   const std::uint64_t base = truth_fingerprint(limits, 8, 4);
 
@@ -266,17 +269,50 @@ TEST(TruthStore, FingerprintFoldsReductionOnlyWhenEnabled) {
 
   analysis::SearchLimits safe = limits;
   safe.reduction = analysis::ReductionMode::kSafe;
-  analysis::SearchLimits on = limits;
-  on.reduction = analysis::ReductionMode::kOn;
   EXPECT_NE(truth_fingerprint(safe, 8, 4), base);
-  EXPECT_NE(truth_fingerprint(on, 8, 4), base);
-  EXPECT_NE(truth_fingerprint(safe, 8, 4), truth_fingerprint(on, 8, 4));
 
   // threads stays verdict-neutral regardless of the reduction mode.
   analysis::SearchLimits safe_threads = safe;
   safe_threads.threads = 9;
   EXPECT_EQ(truth_fingerprint(safe_threads, 8, 4),
             truth_fingerprint(safe, 8, 4));
+}
+
+TEST(TruthStore, FingerprintFoldsMemoBudgetButNotScheduleKnobs) {
+  // Budgeted campaigns must not share cache records with unbudgeted ones:
+  // over budget, their outcomes differ. The schedule-only knobs must NOT
+  // re-namespace the cache.
+  const EvalOptions base;
+  const std::uint64_t exact_fp = campaign_truth_fingerprint(base);
+
+  EvalOptions budgeted;
+  budgeted.limits.memo_budget_bytes = 1 << 20;
+  EXPECT_NE(campaign_truth_fingerprint(budgeted), exact_fp);
+  EvalOptions bigger_budget = budgeted;
+  bigger_budget.limits.memo_budget_bytes = 2 << 20;
+  EXPECT_NE(campaign_truth_fingerprint(bigger_budget),
+            campaign_truth_fingerprint(budgeted));
+
+  EvalOptions sched;
+  sched.limits.steal_granularity = 2;
+  sched.limits.threads = 8;
+  EXPECT_EQ(campaign_truth_fingerprint(sched), exact_fp);
+}
+
+TEST(TruthStore, FingerprintValuesPinnedAcrossMemoLayouts) {
+  // Pinned by value against the digests cache files already on disk carry.
+  // Unbudgeted off and safe keep theirs, so those files stay warm. A
+  // budgeted run fits more states into the same bytes since the state key
+  // lost its channel section, so its digest moved (";memo_layout=2") and a
+  // budgeted cache from the older layout loads as all misses instead of
+  // replaying "inconclusive" records a cold run now decides.
+  EvalOptions options;
+  EXPECT_EQ(campaign_truth_fingerprint(options), 0xc2438fbcf73b35b6ull);
+  options.limits.reduction = analysis::ReductionMode::kSafe;
+  EXPECT_EQ(campaign_truth_fingerprint(options), 0x6c28cbaffcb1ffcaull);
+  options.limits.reduction = analysis::ReductionMode::kOff;
+  options.limits.memo_budget_bytes = 1 << 20;
+  EXPECT_NE(campaign_truth_fingerprint(options), 0x3059d1ba74542057ull);
 }
 
 TEST(TruthStoreCheckpoint, AppendsOnlyFreshRecordsAcrossCalls) {

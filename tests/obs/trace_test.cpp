@@ -14,7 +14,7 @@ namespace wormsim::obs {
 namespace {
 
 /// Runs the paper's Figure-1 message set under the deterministic priority
-/// schedule fig1_demo uses, recording typed events and legacy hook strings.
+/// schedule fig1_demo uses, recording typed events.
 class Fig1TraceTest : public ::testing::Test {
  protected:
   Fig1TraceTest() : family_(core::fig1_spec()) {}
@@ -26,37 +26,68 @@ class Fig1TraceTest : public ::testing::Test {
     for (const auto& spec : family_.message_specs())
       message_count_ = simulator.add_message(spec).index() + 1;
     simulator.set_trace_sink(&buffer_);
-    simulator.set_event_hook(
-        [this](sim::Cycle cycle, const std::string& text) {
-          hook_lines_.emplace_back(cycle, text);
-        });
     const auto result = simulator.run();
     ASSERT_EQ(result.outcome, sim::RunOutcome::kAllConsumed);
   }
 
   core::CyclicFamily family_;
   TraceBuffer buffer_;
-  std::vector<std::pair<sim::Cycle, std::string>> hook_lines_;
   std::size_t message_count_ = 0;
 };
 
-TEST_F(Fig1TraceTest, LegacyHookOrderingMatchesTypedEvents) {
+TEST_F(Fig1TraceTest, LegacyTextMatchesGoldenFig1Lines) {
+  // The narration fig1_demo prints and the Trace-level log emits: the
+  // typed events filtered to the kinds legacy_text formats, with their
+  // cycles. Pinned line for line, so a formatting or ordering change in
+  // either the simulator or legacy_text shows up here.
+  const std::vector<std::pair<sim::Cycle, std::string>> golden = {
+      {1, "m1 injected into c_s"},
+      {2, "m1 header -> N*->a2_0"},
+      {3, "m1 header -> a2_0->P2"},
+      {4, "m1 header -> P2->D1"},
+      {5, "m1 header -> D1->P2x1"},
+      {6, "m1 header -> P2x1->P2x2"},
+      {6, "m3 injected into c_s"},
+      {7, "m1 header -> P2x2->P3"},
+      {7, "m3 header -> N*->a4_0"},
+      {8, "m1 header -> P3->D2"},
+      {8, "m3 header -> a4_0->P4"},
+      {9, "header of m1 consumed at D2"},
+      {9, "m3 header -> P4->D3"},
+      {10, "m3 header -> D3->P4x1"},
+      {11, "m0 injected into c_s"},
+      {11, "m3 header -> P4x1->P4x2"},
+      {12, "m0 header -> N*->P1"},
+      {12, "m1 fully consumed"},
+      {12, "m3 header -> P4x2->P1"},
+      {13, "m3 header -> P1->D4"},
+      {14, "header of m3 consumed at D4"},
+      {17, "m3 fully consumed"},
+      {18, "m0 header -> P1->D4"},
+      {19, "m0 header -> D4->P1x1"},
+      {20, "m0 header -> P1x1->P2"},
+      {20, "m2 injected into c_s"},
+      {21, "m0 header -> P2->D1"},
+      {21, "m2 header -> N*->P3"},
+      {22, "header of m0 consumed at D1"},
+      {22, "m2 header -> P3->D2"},
+      {23, "m2 header -> D2->P3x1"},
+      {24, "m0 fully consumed"},
+      {24, "m2 header -> P3x1->P4"},
+      {25, "m2 header -> P4->D3"},
+      {26, "header of m2 consumed at D3"},
+      {28, "m2 fully consumed"},
+  };
   run_traced();
-  ASSERT_FALSE(buffer_.events().empty());
-  ASSERT_FALSE(hook_lines_.empty());
-
-  // The legacy hook is an adapter over the typed stream: filtering the
-  // typed events to the legacy-visible kinds and formatting them must
-  // reproduce the hook's lines exactly, in order.
-  std::vector<std::pair<sim::Cycle, std::string>> from_typed;
+  std::vector<std::pair<sim::Cycle, std::string>> lines;
   for (const TraceEvent& event : buffer_.events()) {
     const std::string text = legacy_text(event, family_.algorithm().net());
-    if (!text.empty()) from_typed.emplace_back(event.cycle, text);
+    if (!text.empty()) lines.emplace_back(event.cycle, text);
   }
-  ASSERT_EQ(from_typed.size(), hook_lines_.size());
-  for (std::size_t i = 0; i < from_typed.size(); ++i) {
-    EXPECT_EQ(from_typed[i].first, hook_lines_[i].first) << "line " << i;
-    EXPECT_EQ(from_typed[i].second, hook_lines_[i].second) << "line " << i;
+  ASSERT_EQ(lines.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(lines[i].first, golden[i].first) << "line " << i;
+    EXPECT_EQ(lines[i].second, golden[i].second) << "line " << i;
   }
 }
 

@@ -12,9 +12,9 @@ target_link_libraries(sim_tests PRIVATE wormsim_campaign)
 wormsim_test(analysis_tests
   analysis/configuration_test.cpp
   analysis/deadlock_search_test.cpp
+  analysis/memo_budget_test.cpp
   analysis/message_flow_test.cpp
   analysis/parallel_search_test.cpp
-  analysis/probation_test.cpp
   analysis/reduction_test.cpp
   analysis/search_profile_test.cpp
   analysis/search_status_test.cpp
@@ -48,7 +48,6 @@ wormsim_test(campaign_tests
   campaign/runner_test.cpp
   campaign/truth_store_test.cpp
   campaign/jsonl_schema_test.cpp
-  campaign/memo_campaign_test.cpp
   campaign/status_schema_test.cpp
   campaign/fixture_test.cpp
   campaign/reduction_campaign_test.cpp

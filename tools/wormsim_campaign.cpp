@@ -12,9 +12,9 @@
 //   wormsim_campaign [--seed N] [--count N] [--shards N] [--out FILE]
 //                    [--cache-file FILE] [--shard-index I --shard-total N]
 //                    [--fixture-dir DIR] [--max-states N] [--bias any|force|forbid]
-//                    [--reduction off|safe|on] [--cross-check-reduction]
+//                    [--reduction off|safe] [--cross-check-reduction]
 //                    [--search-threads N] [--steal-granularity N]
-//                    [--memo-probation] [--memo-budget BYTES]
+//                    [--memo-budget BYTES]
 //                    [--probe-out-of-scope] [--profile]
 //                    [--status-file FILE] [--status-interval SECONDS]
 //                    [--no-shrink] [--quiet]
@@ -53,10 +53,9 @@ int usage(const char* argv0) {
                "          [--cache-file FILE] [--shard-index I --shard-total N]\n"
                "          [--fixture-dir DIR] [--max-states N]\n"
                "          [--bias any|force|forbid] [--synth-fraction F]\n"
-               "          [--synth-pairs N] [--reduction off|safe|on]\n"
+               "          [--synth-pairs N] [--reduction off|safe]\n"
                "          [--cross-check-reduction] [--search-threads N]\n"
-               "          [--steal-granularity N] [--memo-probation]\n"
-               "          [--memo-budget BYTES]\n"
+               "          [--steal-granularity N] [--memo-budget BYTES]\n"
                "          [--probe-out-of-scope] [--profile] [--no-shrink]\n"
                "          [--status-file FILE] [--status-interval SECONDS]\n"
                "          [--quiet]\n"
@@ -300,11 +299,6 @@ int main(int argc, char** argv) {
       // truth fingerprint (campaign probes run single-threaded anyway).
       config.eval.limits.steal_granularity =
           static_cast<std::size_t>(parse_u64(value(), "--steal-granularity"));
-    } else if (arg == "--memo-probation") {
-      // Two-tier StateTable: fingerprints on first touch, exact keys on
-      // promotion. Changes recorded expansion counts, so it is folded into
-      // the truth fingerprint (docs/campaign.md).
-      config.eval.limits.memo_probation = true;
     } else if (arg == "--memo-budget") {
       // Cap on the StateTable's accounted bytes; over-budget searches
       // report inconclusive, so this is fingerprint-affecting too.
