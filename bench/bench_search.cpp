@@ -297,6 +297,8 @@ struct SchedCase {
   const char* name;                      ///< metric prefix (sched.<name>.*)
   const core::CyclicFamily* family;
   std::vector<sim::MessageSpec> specs;
+  analysis::AdversaryModel model = analysis::AdversaryModel::kSynchronous;
+  std::uint32_t delay_budget = 0;  ///< kBoundedDelay only
 };
 
 /// Runs the scheduling cases at threads {1, 4} and writes an
@@ -305,6 +307,9 @@ struct SchedCase {
 /// state counts are exact and gated. t4 rows include the largest
 /// per-worker share of memo misses — the direct evidence of whether the
 /// scheduler spread the one deep subtree or left it on a single worker.
+/// The bounded-delay Fig 1 case finds a deadlock; such a search is
+/// re-derived serially, so its t4 state count equals t1's and the exact
+/// rows gate the enumeration order up to the first deadlock.
 int run_sched_report() {
   const core::CyclicFamily fig1(core::fig1_spec());
   const auto fig1_base = fig1.message_specs();
@@ -316,6 +321,8 @@ int run_sched_report() {
   std::vector<SchedCase> cases;
   cases.push_back({"fig1x2", &fig1, fig1_x2});
   cases.push_back({"skewed", &skewed, skewed.message_specs()});
+  cases.push_back({"fig1delay3", &fig1, fig1_base,
+                   analysis::AdversaryModel::kBoundedDelay, 3});
 
   obs::RunReport report;
   report.name = "bench_search";
@@ -328,13 +335,13 @@ int run_sched_report() {
     for (const unsigned threads : {1u, 4u}) {
       analysis::SearchLimits limits;
       limits.threads = threads;
+      limits.delay_budget = c.delay_budget;
       analysis::DeadlockSearchResult result;
       double best = 0;
       for (int rep = 0; rep < kReps; ++rep) {
         const auto start = std::chrono::steady_clock::now();
-        result = analysis::find_deadlock(
-            c.family->algorithm(), c.specs,
-            analysis::AdversaryModel::kSynchronous, limits);
+        result = analysis::find_deadlock(c.family->algorithm(), c.specs,
+                                         c.model, limits);
         const double wall =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start)

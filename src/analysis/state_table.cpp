@@ -1,6 +1,8 @@
 #include "analysis/state_table.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "util/assert.hpp"
 
@@ -12,6 +14,11 @@ constexpr std::size_t kInitialSlots = 64;  // per stripe; power of two
 // Resize above count/capacity == 7/10; linear probing stays short there.
 constexpr std::size_t kLoadNum = 7;
 constexpr std::size_t kLoadDen = 10;
+// Arena chunk sizes: the first chunk of a stripe, and the cap its doubling
+// stops at. Small tables (most campaign searches store a few hundred keys)
+// touch one small chunk; big proofs settle on 1 MiB chunks.
+constexpr std::size_t kFirstChunk = 1024;
+constexpr std::size_t kMaxChunk = std::size_t{1} << 20;
 
 }  // namespace
 
@@ -55,6 +62,23 @@ bool StateTable::grow(Stripe& stripe) {
   return true;
 }
 
+std::uint64_t StateTable::Stripe::store(std::string_view key) {
+  if (chunks.empty() || chunk_size - chunk_used < key.size()) {
+    // A key longer than the cap gets a chunk of its own size.
+    chunk_size = std::max(
+        chunks.empty() ? kFirstChunk : std::min(chunk_size * 2, kMaxChunk),
+        key.size());
+    chunks.push_back(std::make_unique_for_overwrite<char[]>(chunk_size));
+    chunk_used = 0;
+  }
+  const std::uint64_t offset =
+      (static_cast<std::uint64_t>(chunks.size() - 1) << 32) | chunk_used;
+  std::memcpy(chunks.back().get() + chunk_used, key.data(), key.size());
+  chunk_used += key.size();
+  arena_bytes += key.size();
+  return offset;
+}
+
 StateTable::Lookup StateTable::lookup_or_insert_hashed(std::string_view key,
                                                        std::uint64_t hash) {
   WORMSIM_ASSERT(!key.empty());
@@ -76,7 +100,7 @@ StateTable::Lookup StateTable::lookup_or_insert_hashed(std::string_view key,
   for (; stripe.slots[i].hash != 0; i = (i + 1) & mask) {
     const Slot& slot = stripe.slots[i];
     if (slot.hash == hash && slot.length == key.size() &&
-        stripe.arena.compare(slot.offset, slot.length, key) == 0)
+        std::memcmp(stripe.key_at(slot.offset), key.data(), key.size()) == 0)
       return Lookup::kSeen;
   }
 
@@ -90,9 +114,8 @@ StateTable::Lookup StateTable::lookup_or_insert_hashed(std::string_view key,
   if (!charge(key.size())) return Lookup::kOverBudget;
   Slot& slot = stripe.slots[i];
   slot.hash = hash;
-  slot.offset = stripe.arena.size();
+  slot.offset = stripe.store(key);
   slot.length = static_cast<std::uint32_t>(key.size());
-  stripe.arena.append(key);
   ++stripe.count;
   return Lookup::kFresh;
 }
@@ -113,7 +136,7 @@ StateTable::Stats StateTable::stats() const {
     std::lock_guard<std::mutex> lock(stripe.mutex);
     out.keys += stripe.count;
     out.slots += stripe.slots.size();
-    out.arena_bytes += stripe.arena.size();
+    out.arena_bytes += stripe.arena_bytes;
     out.contended_locks += stripe.contended;
   }
   out.resident_bytes = resident_.load(std::memory_order_relaxed);

@@ -11,9 +11,15 @@
 //     allocation);
 //   - one lane-FNV-1a 64-bit hash pass with an fmix64 finalizer;
 //   - striped open-addressing slots {hash, offset, length} whose key bytes
-//     live back-to-back in a per-stripe arena (~20 bytes of index per state
+//     live back-to-back in a per-stripe arena (24 bytes of index per slot
 //     plus the raw key, vs. an unordered_set node + string header + heap
 //     block each).
+//
+// The arena is a list of chunks that never move: chunk sizes double from
+// 1 KiB up to 1 MiB, each is allocated uninitialised, and no key straddles
+// two chunks. A slot's offset names the chunk and the position inside it.
+// Growing the arena therefore never copies key bytes, and the peak never
+// holds an old and a new arena at once, as a doubling string did.
 //
 // Every pruning decision is *exact* — a kSeen verdict is a byte-for-byte
 // match, never a hash-only guess — so "search exhausted without finding a
@@ -33,6 +39,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -87,9 +94,9 @@ namespace wormsim::analysis {
   return fmix64(h);
 }
 
-/// Appends `v` to `key` little-endian, the fixed-width encoding shared by
-/// WormholeSimulator::append_state_key and the search's spent-delay suffix.
-/// All 32 bits are kept: the pre-StateTable string suffix truncated each
+/// Appends `v` to `key` little-endian: the search's spent-delay suffix,
+/// written after WormholeSimulator::append_state_key's bytes. All 32 bits
+/// are kept: the pre-StateTable string suffix truncated each
 /// spent counter to one byte (`v & 0xff`), aliasing two states whose spent
 /// values differ by 256 whenever delay_budget > 255.
 inline void append_u32(std::string& key, std::uint32_t v) {
@@ -164,16 +171,28 @@ class StateTable {
   /// is remapped in lookup_or_insert_hashed).
   struct Slot {
     std::uint64_t hash = 0;
-    std::uint64_t offset = 0;  ///< into the stripe arena
+    /// Chunk index in the high 32 bits, byte position inside it in the low.
+    std::uint64_t offset = 0;
     std::uint32_t length = 0;
   };
 
   struct Stripe {
     mutable std::mutex mutex;
     std::vector<Slot> slots;  ///< power-of-two size
-    std::string arena;        ///< key bytes, back to back
+    /// Key bytes, back to back inside each chunk; chunks never move.
+    std::vector<std::unique_ptr<char[]>> chunks;
+    std::size_t chunk_size = 0;  ///< capacity of chunks.back()
+    std::size_t chunk_used = 0;  ///< bytes written into chunks.back()
+    std::uint64_t arena_bytes = 0;  ///< key bytes stored, all chunks
     std::size_t count = 0;
     std::uint64_t contended = 0;  ///< lock waits, guarded by mutex
+
+    [[nodiscard]] const char* key_at(std::uint64_t offset) const {
+      return chunks[offset >> 32].get() + (offset & 0xffffffffu);
+    }
+    /// Copies `key` into the arena, opening a new chunk when the current
+    /// one lacks room, and returns the key's offset.
+    std::uint64_t store(std::string_view key);
   };
 
   /// Adds `delta` to the accounted footprint; fails (adding nothing) if it

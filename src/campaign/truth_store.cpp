@@ -146,12 +146,13 @@ std::uint64_t truth_fingerprint(const analysis::SearchLimits& limits,
   // its own cache namespace; unlimited appends nothing, keeping every
   // existing cache file warm. How many states fit in a budget depends on
   // the table's per-state bytes, so the namespace also names the memo
-  // layout (2: the channel-free state key), and a budgeted cache written
+  // layout (3: the varint state key in a non-relocating arena; 2 was the
+  // channel-free fixed-width key), and a budgeted cache written
   // under an older layout misses instead of replaying records a cold run
   // now decides. steal_granularity is never folded: it only reshapes the
   // schedule, and campaign probes force threads=1 where it cannot bite.
   if (limits.memo_budget_bytes != 0)
-    os << ";memo_budget=" << limits.memo_budget_bytes << ";memo_layout=2";
+    os << ";memo_budget=" << limits.memo_budget_bytes << ";memo_layout=3";
   return fnv1a(os.str());
 }
 

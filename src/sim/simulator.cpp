@@ -1,8 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <limits>
 #include <queue>
 #include <sstream>
 #include <unordered_map>
@@ -59,7 +57,6 @@ MessageId WormholeSimulator::add_message(MessageSpec spec) {
   MessageState state;
   state.spec = std::move(spec);
   messages_.push_back(std::move(state));
-  key_valid_ = false;  // the key gains a segment; rebuild lazily
   return id;
 }
 
@@ -357,111 +354,48 @@ std::string WormholeSimulator::state_key() const {
 }
 
 namespace {
-/// Little-endian-as-stored raw u32 write; state keys are process-local so
-/// native byte order is fine.
-inline void put32_at(char*& p, std::uint32_t v) {
-  std::memcpy(p, &v, sizeof v);
-  p += sizeof v;
+/// Upper bound on one LEB128-encoded u32: seven payload bits per byte.
+constexpr std::size_t kMaxVarint32 = 5;
+
+/// Writes `v` as an unsigned LEB128 varint at `p` and returns the byte past
+/// it. Small values (statuses, flit counters, hop counts) take one byte.
+inline char* put_varint(char* p, std::uint32_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>(v | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<char>(v);
+  return p;
 }
 }  // namespace
 
 std::string_view WormholeSimulator::state_key_view() const {
-  // Hot path of the deadlock search (called once per explored state). The
-  // incremental cache means a step that granted k messages re-serializes
-  // O(k) segments, not the whole state; the synchronous search hashes the
-  // returned view without any copy at all.
-  refresh_state_key();
-#ifndef NDEBUG
-  {
-    std::string fresh;
-    serialize_state_key(fresh);
-    WORMSIM_ASSERT(fresh == key_cache_);
-  }
-#endif
-  return key_cache_;
+  key_scratch_.bytes.clear();
+  append_state_key(key_scratch_.bytes);
+  return key_scratch_.bytes;
 }
 
 void WormholeSimulator::append_state_key(std::string& out) const {
-  out.append(state_key_view());
-}
-
-void WormholeSimulator::write_key_segment(const MessageState& m,
-                                          char* p) const {
-  *p++ = static_cast<char>(m.status);
-  put32_at(p, m.flits_injected);
-  put32_at(p, m.flits_consumed);
-  put32_at(p, static_cast<std::uint32_t>(m.released));
-  put32_at(p, static_cast<std::uint32_t>(m.path.size()));
-  for (std::size_t j = m.released; j < m.path.size(); ++j) {
-    put32_at(p, m.path[j].value());
-    put32_at(p, m.exited[j]);
-  }
-}
-
-void WormholeSimulator::serialize_state_key(std::string& out) const {
-  // Size the buffer exactly, then write through a raw pointer — per-byte
-  // push_back was a measurable fraction of search time before the cache.
-  const std::size_t base = out.size();
-  std::size_t bytes = messages_.size() * 17;
+  // One pass: size the buffer for the widest encoding, write every field
+  // through a raw pointer, then trim to the bytes written.
+  std::size_t bound = messages_.size() * 5 * kMaxVarint32;
   for (const MessageState& m : messages_)
-    bytes += (m.path.size() - m.released) * 8;
-  out.resize(base + bytes);
+    bound += (m.path.size() - m.released) * 2 * kMaxVarint32;
+  const std::size_t base = out.size();
+  out.resize(base + bound);
   char* p = out.data() + base;
   for (const MessageState& m : messages_) {
-    const std::size_t len = 17 + (m.path.size() - m.released) * 8;
-    write_key_segment(m, p);
-    p += len;
+    p = put_varint(p, static_cast<std::uint32_t>(m.status));
+    p = put_varint(p, m.flits_injected);
+    p = put_varint(p, m.flits_consumed);
+    p = put_varint(p, static_cast<std::uint32_t>(m.released));
+    p = put_varint(p, static_cast<std::uint32_t>(m.path.size()));
+    for (std::size_t j = m.released; j < m.path.size(); ++j) {
+      p = put_varint(p, m.path[j].value());
+      p = put_varint(p, m.exited[j]);
+    }
   }
-  WORMSIM_ASSERT(p == out.data() + out.size());
-}
-
-void WormholeSimulator::append_key_segment(std::size_t i) const {
-  const MessageState& m = messages_[i];
-  const std::size_t len = 17 + (m.path.size() - m.released) * 8;
-  const std::size_t off = key_cache_.size();
-  key_cache_.resize(off + len);
-  write_key_segment(m, key_cache_.data() + off);
-  key_msg_off_.push_back(static_cast<std::uint32_t>(off));
-  key_msg_len_.push_back(static_cast<std::uint32_t>(len));
-}
-
-void WormholeSimulator::refresh_state_key() const {
-  if (!key_valid_) {
-    key_cache_.clear();
-    key_msg_off_.clear();
-    key_msg_len_.clear();
-    key_msg_off_.reserve(messages_.size());
-    key_msg_len_.reserve(messages_.size());
-    for (std::size_t i = 0; i < messages_.size(); ++i) append_key_segment(i);
-    key_message_flag_.assign(messages_.size(), 0);
-    key_dirty_messages_.clear();
-    key_valid_ = true;
-    return;
-  }
-  if (key_dirty_messages_.empty()) return;
-
-  // Segments whose length is unchanged (data shifts, consumption counters)
-  // patch in place; a length change (released advanced, path grew) shifts
-  // every later segment, so the tail rebuilds from the first such segment.
-  std::uint32_t first_resized = std::numeric_limits<std::uint32_t>::max();
-  for (const std::uint32_t i : key_dirty_messages_) {
-    const MessageState& m = messages_[i];
-    const auto len =
-        static_cast<std::uint32_t>(17 + (m.path.size() - m.released) * 8);
-    if (len != key_msg_len_[i]) first_resized = std::min(first_resized, i);
-  }
-  for (const std::uint32_t i : key_dirty_messages_) {
-    key_message_flag_[i] = 0;
-    if (i >= first_resized) continue;  // rebuilt below
-    write_key_segment(messages_[i], key_cache_.data() + key_msg_off_[i]);
-  }
-  key_dirty_messages_.clear();
-  if (first_resized == std::numeric_limits<std::uint32_t>::max()) return;
-  key_cache_.resize(key_msg_off_[first_resized]);
-  key_msg_off_.resize(first_resized);
-  key_msg_len_.resize(first_resized);
-  for (std::size_t i = first_resized; i < messages_.size(); ++i)
-    append_key_segment(i);
+  out.resize(static_cast<std::size_t>(p - out.data()));
 }
 
 bool WormholeSimulator::execute_moves() {
@@ -475,9 +409,6 @@ bool WormholeSimulator::move_message(std::size_t i) {
   MessageState& m = messages_[i];
   const MessageId id{i};
   if (m.status == MessageStatus::kConsumed) return false;
-  // For the incremental state key: every key-relevant mutation below is
-  // to message i's own progress counters and path, so one touch at the end
-  // of the block covers them all.
   bool moved = false;
 
   // Front operation: consume at destination, advance header, or inject.
@@ -586,7 +517,6 @@ bool WormholeSimulator::move_message(std::size_t i) {
     }
   }
 
-  if (moved) touch_message(i);
   return moved;
 }
 

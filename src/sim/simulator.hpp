@@ -165,7 +165,8 @@ class WormholeSimulator {
   bool step();
 
   /// The requests that would be raised next cycle, grouped by message.
-  /// Non-mutating (works on an internal copy).
+  /// Read-only: derived from channel ownership and message progress without
+  /// stepping anything.
   [[nodiscard]] std::vector<MessageRequests> peek_requests() const;
 
   /// peek_requests() into a caller-owned buffer: `out` is overwritten (its
@@ -205,24 +206,26 @@ class WormholeSimulator {
 
   /// Canonical serialization of the time-independent simulation state: one
   /// segment per message (status, progress counters, active path suffix
-  /// with per-hop exit counts). Channel ownership and occupancy are not
-  /// stored: they are a function of the segments (DESIGN.md §12). Two
-  /// states with equal keys behave identically under identical future grant
-  /// choices, so reachability searches may memoize on it. Release times
-  /// must be in the past and per-hop stalls exhausted for the key to be
-  /// sound; the model checker enforces that by construction.
+  /// with per-hop exit counts), every field an unsigned LEB128 varint.
+  /// Channel ownership and occupancy are not stored: they are a function of
+  /// the segments (DESIGN.md §12). Two states with equal keys behave
+  /// identically under identical future grant choices, so reachability
+  /// searches may memoize on it. Release times must be in the past and
+  /// per-hop stalls exhausted for the key to be sound; the model checker
+  /// enforces that by construction.
   [[nodiscard]] std::string state_key() const;
 
   /// state_key() into a caller-provided buffer: appends the key bytes to
-  /// `out` without clearing it. Reachability searches reuse one scratch
-  /// buffer across millions of states (plus a trailing suffix of their own,
-  /// e.g. the spent-delay vector), avoiding a heap string per lookup.
+  /// `out` without clearing it, in one pass over the messages. Reachability
+  /// searches reuse one scratch buffer across millions of states (plus a
+  /// trailing suffix of their own, e.g. the spent-delay vector), avoiding a
+  /// heap string per lookup.
   void append_state_key(std::string& out) const;
 
-  /// A view of the key bytes inside the simulator's own cache, valid until
-  /// the next mutation or copy of this simulator. The synchronous search
-  /// hashes this view directly instead of copying the key into a scratch
-  /// buffer first — the copy was a measurable slice of per-state memo cost.
+  /// The key written into a scratch buffer the simulator owns, valid until
+  /// the next call on this simulator. The buffer keeps its capacity across
+  /// calls and is not copied when the simulator is, so a warm simulator
+  /// serializes without allocating.
   [[nodiscard]] std::string_view state_key_view() const;
 
   /// Runs until completion, deadlock, or the cycle limit.
@@ -412,29 +415,6 @@ class WormholeSimulator {
   /// EventScheduler is opaque here; only reached when sched_.p is set.
   void report_freed(ChannelId c);
 
-  /// Serializes the full state key from scratch (the layout described at
-  /// append_state_key), appending to `out`. Cold path: the incremental
-  /// cache below makes this a once-per-simulator cost.
-  void serialize_state_key(std::string& out) const;
-  /// Writes message `m`'s key segment (status byte, progress counters,
-  /// active path suffix) at `p`; the caller sized the destination.
-  void write_key_segment(const MessageState& m, char* p) const;
-  /// Appends message `i`'s key segment to key_cache_, recording its
-  /// offset/length in the cache index.
-  void append_key_segment(std::size_t i) const;
-  /// Brings key_cache_ up to date: full rebuild when invalid, else patch
-  /// the dirty message segments in place (segments whose length changed
-  /// rebuild the cache tail from the first such segment).
-  void refresh_state_key() const;
-  /// Marks message `i`'s key segment as changed. No-op until the first key
-  /// build: simulators that never serialize (plain workload runs) pay one
-  /// predictable branch per call.
-  void touch_message(std::size_t i) {
-    if (!key_valid_ || key_message_flag_[i]) return;
-    key_message_flag_[i] = 1;
-    key_dirty_messages_.push_back(static_cast<std::uint32_t>(i));
-  }
-
   /// True when any trace consumer is active — the single guard every event
   /// site checks before constructing a TraceEvent. A cached member bool so
   /// the all-off fast path is one predictable branch even in congested
@@ -495,19 +475,18 @@ class WormholeSimulator {
   SchedulerRef sched_;
   EventCoreStats event_stats_;
 
-  /// Incremental state-key cache. key_cache_ holds the current serialized
-  /// key; after the first build, execute_moves records which messages it
-  /// touched and refresh_state_key() patches only those segments — a grant
-  /// cycle touches O(granted messages) bytes, not O(state). The cache
-  /// copies with the simulator, so a forked child inherits the parent's key
-  /// and patches only its own step's deltas. All mutable: append_state_key
-  /// is morally const. add_message invalidates.
-  mutable std::string key_cache_;
-  mutable std::vector<std::uint32_t> key_msg_off_;  ///< segment offsets
-  mutable std::vector<std::uint32_t> key_msg_len_;  ///< segment lengths
-  mutable std::vector<std::uint32_t> key_dirty_messages_;
-  mutable std::vector<std::uint8_t> key_message_flag_;
-  mutable bool key_valid_ = false;
+  /// state_key_view()'s buffer. Like RequestScratch below, a copy starts
+  /// from nothing and an assignment keeps the destination's own buffer:
+  /// every view rewrites the whole key, so a fork has nothing to inherit.
+  struct KeyScratch {
+    std::string bytes;
+    KeyScratch() = default;
+    KeyScratch(const KeyScratch&) noexcept {}
+    KeyScratch& operator=(const KeyScratch&) noexcept { return *this; }
+    KeyScratch(KeyScratch&&) = default;
+    KeyScratch& operator=(KeyScratch&&) = default;
+  };
+  mutable KeyScratch key_scratch_;
   obs::TraceSink* trace_sink_ = nullptr;
   /// Probe copies (peek_requests) set this so speculative cycles emit
   /// nothing.

@@ -302,17 +302,21 @@ TEST(TruthStore, FingerprintFoldsMemoBudgetButNotScheduleKnobs) {
 TEST(TruthStore, FingerprintValuesPinnedAcrossMemoLayouts) {
   // Pinned by value against the digests cache files already on disk carry.
   // Unbudgeted off and safe keep theirs, so those files stay warm. A
-  // budgeted run fits more states into the same bytes since the state key
-  // lost its channel section, so its digest moved (";memo_layout=2") and a
-  // budgeted cache from the older layout loads as all misses instead of
-  // replaying "inconclusive" records a cold run now decides.
+  // budgeted run fits more states into the same bytes each time the memo
+  // layout shrinks: the channel-free key (";memo_layout=2"), then the
+  // varint key in a non-relocating arena (";memo_layout=3"). Each move
+  // changes the budgeted digest, so a budgeted cache from an older layout
+  // loads as all misses instead of replaying "inconclusive" records a cold
+  // run now decides.
   EvalOptions options;
   EXPECT_EQ(campaign_truth_fingerprint(options), 0xc2438fbcf73b35b6ull);
   options.limits.reduction = analysis::ReductionMode::kSafe;
   EXPECT_EQ(campaign_truth_fingerprint(options), 0x6c28cbaffcb1ffcaull);
   options.limits.reduction = analysis::ReductionMode::kOff;
   options.limits.memo_budget_bytes = 1 << 20;
-  EXPECT_NE(campaign_truth_fingerprint(options), 0x3059d1ba74542057ull);
+  const std::uint64_t budgeted = campaign_truth_fingerprint(options);
+  EXPECT_NE(budgeted, 0x3059d1ba74542057ull);  // layout 1
+  EXPECT_NE(budgeted, 0x6adb0ef7d3101c9aull);  // layout 2
 }
 
 TEST(TruthStoreCheckpoint, AppendsOnlyFreshRecordsAcrossCalls) {

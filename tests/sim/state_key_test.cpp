@@ -1,19 +1,20 @@
-// The incremental state-key cache must be invisible: a simulator stepped
+// The state key is a function of the state alone: a simulator stepped
 // through an arbitrary grant history serializes exactly the same key bytes
-// as a fresh simulator replaying that history (whose first key call takes
-// the from-scratch path). Divergence here means the dirty-span tracking in
-// execute_moves missed a key-relevant mutation.
+// as a fresh simulator replaying that history, and copies, idle cycles and
+// the trusted step leave no trace in it.
 //
-// The key also stores no channel records — channel ownership and occupancy
-// are derived from the per-message segments — so StateKeySoundness walks
+// The key stores no channel records — channel ownership and occupancy are
+// derived from the per-message segments — so StateKeySoundness walks
 // random grant sequences and checks that equal keys really do pin the
-// whole channel state and the next cycle's requests.
+// whole channel state and the next cycle's requests. It also decodes every
+// key it sees as LEB128 fields and checks them against the simulator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -65,7 +66,7 @@ std::string replay_key(const routing::RoutingAlgorithm& alg, SimConfig config,
   return fresh.state_key();
 }
 
-TEST(StateKeyCache, SteppedKeyMatchesFreshReplayEveryCycle) {
+TEST(StateKey, SteppedKeyMatchesFreshReplayEveryCycle) {
   const core::CyclicFamily family(core::fig1_spec());
   const auto specs = family.message_specs();
   SimConfig config;
@@ -76,8 +77,7 @@ TEST(StateKeyCache, SteppedKeyMatchesFreshReplayEveryCycle) {
 
   std::vector<std::vector<std::pair<ChannelId, MessageId>>> history;
   for (int cycle = 0; cycle < 40 && !sim.all_consumed(); ++cycle) {
-    // Serialize BEFORE stepping too, so the incremental path (patch after
-    // prior build) is exercised on every cycle, not just the last.
+    // Serialize before every step, not just after the last one.
     const std::string incremental = sim.state_key();
     const std::string fresh = replay_key(family.algorithm(), config, specs,
                                          {}, history);
@@ -90,7 +90,7 @@ TEST(StateKeyCache, SteppedKeyMatchesFreshReplayEveryCycle) {
             replay_key(family.algorithm(), config, specs, {}, history));
 }
 
-TEST(StateKeyCache, IdleCyclesLeaveKeyUnchanged) {
+TEST(StateKey, IdleCyclesLeaveKeyUnchanged) {
   const core::CyclicFamily family(core::fig1_spec());
   SimConfig config;
   config.buffer_depth = 1;
@@ -103,7 +103,7 @@ TEST(StateKeyCache, IdleCyclesLeaveKeyUnchanged) {
   EXPECT_EQ(sim.state_key(), before);
 }
 
-TEST(StateKeyCache, AddMessageInvalidatesAfterFirstSerialization) {
+TEST(StateKey, AddMessageInvalidatesAfterFirstSerialization) {
   const core::CyclicFamily family(core::fig1_spec());
   const auto specs = family.message_specs();
   SimConfig config;
@@ -116,9 +116,9 @@ TEST(StateKeyCache, AddMessageInvalidatesAfterFirstSerialization) {
   std::vector<std::vector<std::pair<ChannelId, MessageId>>> history;
   std::vector<std::pair<std::size_t, MessageSpec>> late;
   for (int cycle = 0; cycle < 12; ++cycle) {
-    (void)sim.state_key();  // force the cache live before mutations
+    (void)sim.state_key();  // serialize between mutations
     if (cycle == 3 && specs.size() > 1) {
-      sim.add_message(specs[1]);  // grows the key: must invalidate
+      sim.add_message(specs[1]);  // the key gains a segment
       late.emplace_back(static_cast<std::size_t>(cycle), specs[1]);
     }
     history.push_back(greedy_grants(sim));
@@ -129,7 +129,7 @@ TEST(StateKeyCache, AddMessageInvalidatesAfterFirstSerialization) {
   }
 }
 
-TEST(StateKeyCache, TrustedStepMatchesCheckedStepEveryCycle) {
+TEST(StateKey, TrustedStepMatchesCheckedStepEveryCycle) {
   // The deadlock search's forward exploration uses step_with_grants_trusted,
   // which skips the request re-derivation and arbitration bookkeeping of the
   // checked step. Under the search's scenario contract (release_time == 0,
@@ -167,19 +167,20 @@ TEST(StateKeyCache, TrustedStepMatchesCheckedStepEveryCycle) {
   EXPECT_TRUE(trusted.all_consumed());
 }
 
-TEST(StateKeyCache, CopiedSimulatorKeysStayIndependent) {
+TEST(StateKey, CopiedSimulatorKeysStayIndependent) {
   const core::CyclicFamily family(core::fig1_spec());
   SimConfig config;
   config.buffer_depth = 1;
   WormholeSimulator parent(family.algorithm(), config);
   for (const MessageSpec& spec : family.message_specs())
     parent.add_message(spec);
-  (void)parent.state_key();  // cache live, then fork (the search's pattern)
+  (void)parent.state_key_view();  // fill the key buffer, then fork
+
 
   WormholeSimulator child = parent;
   child.step_with_grants(greedy_grants(child));
 
-  // Child patched only its own copy; parent still serializes its old state.
+  // Each simulator serializes its own state.
   WormholeSimulator pristine(family.algorithm(), config);
   for (const MessageSpec& spec : family.message_specs())
     pristine.add_message(spec);
@@ -222,8 +223,64 @@ std::vector<std::pair<ChannelId, MessageId>> random_grants(
   return grants;
 }
 
+/// Reads a state key back as unsigned LEB128 fields. A field that runs past
+/// the end of the key or past 32 bits marks the key malformed.
+class KeyReader {
+ public:
+  explicit KeyReader(std::string_view key) : key_(key) {}
+
+  std::uint32_t next() {
+    std::uint64_t value = 0;
+    for (int shift = 0;; shift += 7) {
+      if (pos_ == key_.size() || shift > 28) {
+        ok_ = false;
+        return 0;
+      }
+      const auto byte = static_cast<std::uint8_t>(key_[pos_++]);
+      value |= std::uint64_t{byte & 0x7fu} << shift;
+      if ((byte & 0x80u) == 0) break;
+    }
+    if (value > 0xffffffffu) ok_ = false;
+    return static_cast<std::uint32_t>(value);
+  }
+
+  [[nodiscard]] bool ok() const { return ok_; }
+  [[nodiscard]] bool at_end() const { return pos_ == key_.size(); }
+
+ private:
+  std::string_view key_;
+  std::size_t pos_ = 0;
+  bool ok_ = true;
+};
+
+/// Decodes `key` field by field (per message: status, flits injected,
+/// flits consumed, released, path length, then channel and exit count per
+/// active hop) and checks the fields the simulator exposes.
+void expect_key_decodes(const WormholeSimulator& sim, std::string_view key) {
+  KeyReader reader(key);
+  for (std::size_t m = 0; m < sim.message_count(); ++m) {
+    const MessageId id{m};
+    EXPECT_EQ(reader.next(), static_cast<std::uint32_t>(sim.status(id)))
+        << "message " << m;
+    (void)reader.next();  // flits injected
+    (void)reader.next();  // flits consumed
+    const std::uint32_t released = reader.next();
+    const std::uint32_t path_length = reader.next();
+    EXPECT_EQ(released, sim.released_count(id)) << "message " << m;
+    ASSERT_LE(released, path_length) << "message " << m;
+    std::vector<ChannelId> held;
+    for (std::uint32_t j = released; j < path_length; ++j) {
+      held.push_back(ChannelId{reader.next()});
+      (void)reader.next();  // flits that have left this hop
+    }
+    EXPECT_EQ(held, sim.held_channels(id)) << "message " << m;
+    ASSERT_TRUE(reader.ok()) << "message " << m;
+  }
+  EXPECT_TRUE(reader.at_end()) << "key has trailing bytes";
+}
+
 /// Walks `walks` random grant sequences from `initial` and checks, at
-/// every visited state, the key's length and that any two states with
+/// every visited state, that the key decodes and that any two states with
 /// equal keys agree on everything Observed covers. Returns the number of
 /// revisits (states whose key was already seen), so callers can assert the
 /// check was not vacuous.
@@ -237,10 +294,10 @@ std::size_t check_equal_keys_agree(const WormholeSimulator& initial,
     WormholeSimulator sim = initial;
     for (int step = 0; step < steps && !sim.all_consumed(); ++step) {
       const std::string key = sim.state_key();
-      std::size_t expected_len = 0;
-      for (std::size_t m = 0; m < sim.message_count(); ++m)
-        expected_len += 17 + 8 * sim.held_channels(MessageId{m}).size();
-      EXPECT_EQ(key.size(), expected_len) << "walk " << walk;
+      {
+        SCOPED_TRACE("walk " + std::to_string(walk));
+        expect_key_decodes(sim, key);
+      }
 
       Observed now = observe(sim);
       const auto [it, fresh] = seen.emplace(key, now);
@@ -318,6 +375,34 @@ TEST(StateKeySoundness, EqualKeysPinChannelsAndRequestsOnAdaptiveMesh) {
   const WormholeSimulator sim =
       with_messages(WormholeSimulator(alg, SimConfig{}), specs);
   EXPECT_GT(check_equal_keys_agree(sim, 14, 300, 60), 0u);
+}
+
+TEST(StateKey, LongMessageCountersTakeMultiByteFields) {
+  // Flit counters of a 300-flit worm pass 127, where a LEB128 field grows
+  // a second byte; the key must still decode and match a fresh replay.
+  const core::CyclicFamily family(core::fig1_spec());
+  std::vector<MessageSpec> specs = family.message_specs();
+  specs.resize(1);
+  specs[0].length = 300;
+  SimConfig config;
+  WormholeSimulator sim(family.algorithm(), config);
+  sim.add_message(specs[0]);
+
+  std::vector<std::vector<std::pair<ChannelId, MessageId>>> history;
+  std::uint32_t max_injected = 0;
+  for (int cycle = 0; cycle < 400 && !sim.all_consumed(); ++cycle) {
+    const std::string key = sim.state_key();
+    expect_key_decodes(sim, key);
+    KeyReader reader(key);
+    (void)reader.next();  // status
+    max_injected = std::max(max_injected, reader.next());
+    history.push_back(greedy_grants(sim));
+    sim.step_with_grants(history.back());
+  }
+  EXPECT_TRUE(sim.all_consumed());
+  EXPECT_EQ(max_injected, 300u);
+  EXPECT_EQ(sim.state_key(),
+            replay_key(family.algorithm(), config, specs, {}, history));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@ wormsim_test(sim_tests
 target_link_libraries(sim_tests PRIVATE wormsim_campaign)
 
 wormsim_test(analysis_tests
+  analysis/assignment_generator_test.cpp
   analysis/configuration_test.cpp
   analysis/deadlock_search_test.cpp
   analysis/memo_budget_test.cpp
